@@ -254,7 +254,7 @@ fn main() {
         print_exec(&sweep);
         write_json(&out_dir, "exec", &exec_to_json(&sweep));
         if sweep.points.iter().any(|p| !p.identical_to_serial) {
-            eprintln!("partitioned apply diverged from serial apply — determinism bug");
+            eprintln!("partitioned plan diverged from serial apply — scheduler bug");
             std::process::exit(1);
         }
     }
@@ -327,14 +327,10 @@ fn print_fig8xl(sweep: &Fig8xlSweep) {
 }
 
 fn print_exec(sweep: &ExecSweep) {
+    println!("\n=== Partitioned executor: modelled apply-path throughput ===");
     println!(
-        "\n=== Partitioned executor: modelled apply-path throughput ({} host cpus) ===",
-        sweep.host_cpus
-    );
-    println!(
-        "{:>10} {:>8} {:>6} {:>6} {:>9} {:>16} {:>12} {:>9} {:>10}",
+        "{:>10} {:>6} {:>6} {:>9} {:>16} {:>12} {:>9} {:>10}",
         "partitions",
-        "threads",
         "batch",
         "txs",
         "modelled",
@@ -345,9 +341,8 @@ fn print_exec(sweep: &ExecSweep) {
     );
     for p in &sweep.points {
         println!(
-            "{:>10} {:>8} {:>6} {:>6} {:>8.2}x {:>16.0} {:>12.0} {:>9.1} {:>10}",
+            "{:>10} {:>6} {:>6} {:>8.2}x {:>16.0} {:>12.0} {:>9.1} {:>10}",
             p.partitions,
-            p.exec_threads,
             p.batch_size,
             p.txs,
             p.speedup_modeled,

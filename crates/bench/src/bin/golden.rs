@@ -12,13 +12,6 @@
 //! guarantees bit-identical results, so any divergence is a scheduler bug
 //! and fails the build.
 //!
-//! `--exec <partitions>` additionally runs every replica's apply path
-//! through the partitioned executor (with two worker threads). Like
-//! `--threads`, it must never change a single output byte: the partitioned
-//! scheduler is conflict-ordered and the pipeline charges the same execution
-//! cost in every mode, so CI diffs `--exec N` output against the serial
-//! run too.
-//!
 //! `--retain <interval>,<blocks>` runs every replica's ledger with
 //! checkpointing + truncation (checkpoint every `interval` blocks, retain a
 //! `blocks`-deep tail). The rolling checkpoint digest keeps the ledger
@@ -33,8 +26,8 @@
 
 use sharper_bench::{cli_flag_value, cli_thread_mode};
 use sharper_common::{
-    BatchConfig, Duration, ExecutorConfig, FailureModel, ForcedMove, LedgerConfig, ReshardConfig,
-    SimTime, ThreadMode,
+    BatchConfig, Duration, FailureModel, ForcedMove, LedgerConfig, ReshardConfig, SimTime,
+    ThreadMode,
 };
 use sharper_core::{SharperSystem, SystemParams};
 use sharper_net::FaultPlan;
@@ -102,7 +95,7 @@ const ACCOUNTS: u64 = 1_000;
 
 /// A golden deployment with the dynamic-resharding plane active (crash model
 /// only). Run with `--reshard`; the digest-diff matrix covers these across
-/// the same thread/executor/retention modes as the base configs.
+/// the same thread/retention modes as the base configs.
 struct ReshardGoldenConfig {
     name: &'static str,
     cross_ratio: f64,
@@ -175,7 +168,6 @@ fn reshard_configs() -> Vec<ReshardGoldenConfig> {
 fn run_reshard_config(
     cfg: &ReshardGoldenConfig,
     threads: ThreadMode,
-    exec: ExecutorConfig,
     ledger: LedgerConfig,
 ) -> String {
     let mut params = SystemParams::new(FailureModel::Crash, 3, 1)
@@ -183,7 +175,6 @@ fn run_reshard_config(
         .with_seed(cfg.seed)
         .with_batching(BatchConfig::with_size(1))
         .with_threads(threads)
-        .with_executor(exec)
         .with_ledger(ledger)
         .with_reshard(cfg.reshard.clone());
     params.accounts_per_shard = ACCOUNTS;
@@ -207,18 +198,12 @@ fn run_reshard_config(
     )
 }
 
-fn run_config(
-    cfg: &GoldenConfig,
-    threads: ThreadMode,
-    exec: ExecutorConfig,
-    ledger: LedgerConfig,
-) -> String {
+fn run_config(cfg: &GoldenConfig, threads: ThreadMode, ledger: LedgerConfig) -> String {
     let mut params = SystemParams::new(cfg.model, cfg.clusters, 1)
         .with_faults(FaultPlan::none().with_drop_probability(cfg.drop_probability))
         .with_seed(cfg.seed)
         .with_batching(BatchConfig::with_size(cfg.max_batch))
         .with_threads(threads)
-        .with_executor(exec)
         .with_ledger(ledger);
     params.accounts_per_shard = ACCOUNTS;
     params.warmup = SimTime::from_millis(100);
@@ -244,16 +229,6 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let threads = cli_thread_mode(&args);
     let out = cli_flag_value(&args, "--out");
-    let exec = match cli_flag_value(&args, "--exec") {
-        None => ExecutorConfig::default(),
-        Some(p) => match p.parse::<usize>() {
-            Ok(partitions) => ExecutorConfig::partitioned(partitions, 2),
-            Err(e) => {
-                eprintln!("invalid --exec value {p:?}: {e}");
-                std::process::exit(2);
-            }
-        },
-    };
     let ledger = match cli_flag_value(&args, "--retain") {
         None => LedgerConfig::retain_all(),
         Some(spec) => {
@@ -272,13 +247,13 @@ fn main() {
     let mut lines = Vec::with_capacity(CONFIGS.len());
     if reshard {
         for cfg in &reshard_configs() {
-            let line = run_reshard_config(cfg, threads, exec, ledger);
+            let line = run_reshard_config(cfg, threads, ledger);
             println!("[{threads}] {line}");
             lines.push(line);
         }
     } else {
         for cfg in CONFIGS {
-            let line = run_config(cfg, threads, exec, ledger);
+            let line = run_config(cfg, threads, ledger);
             println!("[{threads}] {line}");
             lines.push(line);
         }

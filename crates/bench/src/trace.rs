@@ -6,7 +6,7 @@
 //! [`sharper_core::SharperSystem::take_trace`]: sim-timestamped transaction
 //! lifecycle spans (`client_submit → batch_seal → commit/xcommit →
 //! execute → reply → client_complete`), protocol events (view changes,
-//! ballot adoptions, reservations, retransmissions) and executor events, in
+//! ballot adoptions, reservations, retransmissions) and reshard events, in
 //! the canonical `(sim_time, actor_rank, actor_seq)` order. Because the
 //! stream is bit-identical across threading modes, everything derived here —
 //! the phase percentiles and the invariant verdicts — is too.

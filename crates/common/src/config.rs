@@ -114,48 +114,6 @@ impl fmt::Display for ThreadMode {
     }
 }
 
-/// How each replica executes committed batches against its application state.
-///
-/// `partitions` splits the shard's account store into that many account-range
-/// partitions behind a `PartitionedStore`; the executor scheduler then runs
-/// sub-batches touching disjoint partitions on up to `exec_threads` workers.
-/// Like every other [`SimConfig`] knob, this must never change results:
-/// partitioned-parallel apply is required to be bit-identical to serial apply
-/// (outcomes, replies, ledger digest), which the golden-digest gate enforces.
-/// `partitions = 1` reproduces the seed's serial executor exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ExecutorConfig {
-    /// Number of account-range partitions per shard (`1` = serial apply).
-    pub partitions: usize,
-    /// Number of worker threads the partitioned executor may use.
-    /// `0` and `1` run the partitioned schedule on the calling thread.
-    pub exec_threads: usize,
-}
-
-impl Default for ExecutorConfig {
-    fn default() -> Self {
-        Self {
-            partitions: 1,
-            exec_threads: 1,
-        }
-    }
-}
-
-impl ExecutorConfig {
-    /// A partitioned executor configuration.
-    pub fn partitioned(partitions: usize, exec_threads: usize) -> Self {
-        Self {
-            partitions: partitions.max(1),
-            exec_threads: exec_threads.max(1),
-        }
-    }
-
-    /// Whether committed batches run through the partitioned scheduler.
-    pub fn is_partitioned(&self) -> bool {
-        self.partitions > 1
-    }
-}
-
 /// How each replica's ledger view retains committed history.
 ///
 /// With the default (`checkpoint_interval = 0`) a view keeps every block
@@ -214,8 +172,6 @@ impl LedgerConfig {
 pub struct SimConfig {
     /// Worker threading mode of the discrete-event engine.
     pub threads: ThreadMode,
-    /// How replicas execute committed batches (serial or partitioned).
-    pub exec: ExecutorConfig,
     /// How replica ledger views retain committed history (bounded-memory
     /// truncation behind the audit watermark, or the default retain-all).
     pub ledger: LedgerConfig,
@@ -240,12 +196,6 @@ impl SimConfig {
             threads,
             ..Self::default()
         }
-    }
-
-    /// Sets the executor configuration (builder style).
-    pub fn with_executor(mut self, exec: ExecutorConfig) -> Self {
-        self.exec = exec;
-        self
     }
 
     /// Sets the ledger retention configuration (builder style).

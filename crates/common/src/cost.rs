@@ -178,9 +178,9 @@ impl CostModel {
 
     /// The modelled cost of a *scheduled* (partitioned-parallel) batch apply.
     ///
-    /// The executor scheduler expresses a batch as abstract work units
-    /// (`units_per_tx` per transaction, split across per-partition queues) and
-    /// reports the critical-path length `makespan_units` of its plan. Since
+    /// The partitioned plan expresses a batch as abstract work units
+    /// (`units_per_tx` per transaction, split across partitions) and reports
+    /// the critical-path length `makespan_units` of its schedule. Since
     /// one serial transaction costs `execute_us`, one unit costs
     /// `execute_us / units_per_tx` and the modelled wall time of the parallel
     /// apply is the makespan times the unit cost plus the single block digest.
@@ -188,9 +188,8 @@ impl CostModel {
     /// critical path.
     ///
     /// This is used by the executor benchmark (`figures --fig exec`) to model
-    /// apply-path speedups; the simulation pipeline itself always charges
-    /// [`CostModel::execution_batch`] so that partitioning cannot perturb
-    /// golden seeds.
+    /// apply-path speedups; replicas apply serially and the simulation
+    /// pipeline charges [`CostModel::execution_batch`].
     pub fn execution_batch_scheduled(&self, makespan_units: u64, units_per_tx: u64) -> Duration {
         let per_tx = units_per_tx.max(1);
         let exec_us = (self.execute_us * makespan_units).div_ceil(per_tx);

@@ -21,14 +21,14 @@ pub mod obs;
 pub mod time;
 
 pub use config::{
-    BatchConfig, ClusterConfig, ClusterGroup, ClusterLayout, ExecutorConfig, FailureModel,
-    ForcedMove, InitiationPolicy, LedgerConfig, ReshardConfig, SimConfig, SystemConfig, ThreadMode,
+    BatchConfig, ClusterConfig, ClusterGroup, ClusterLayout, FailureModel, ForcedMove,
+    InitiationPolicy, LedgerConfig, ReshardConfig, SimConfig, SystemConfig, ThreadMode,
 };
 pub use cost::{CostModel, LatencyModel, LinkKind};
 pub use error::{Error, Result};
 pub use ids::{AccountId, ClientId, ClusterId, NodeId, RequestId, TxId};
 pub use obs::{
-    percentile_nearest_rank, percentile_us, trace_to_jsonl, Histogram, MetricKey, MetricsRegistry,
-    StreamingHistogram, TraceEvent, TraceKind,
+    percentile_nearest_rank, percentile_us, trace_to_jsonl, StreamingHistogram, TraceEvent,
+    TraceKind,
 };
 pub use time::{Duration, SimTime};

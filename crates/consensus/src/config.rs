@@ -1,8 +1,6 @@
 //! Configuration shared by every replica of a deployment.
 
-use sharper_common::{
-    BatchConfig, CostModel, Duration, ExecutorConfig, LedgerConfig, ReshardConfig, SystemConfig,
-};
+use sharper_common::{BatchConfig, CostModel, Duration, LedgerConfig, ReshardConfig, SystemConfig};
 use sharper_crypto::KeyRegistry;
 use sharper_state::Partitioner;
 use std::sync::Arc;
@@ -74,10 +72,6 @@ pub struct ReplicaConfig {
     /// How primaries group transactions into blocks (`max_batch_size = 1`
     /// reproduces the paper's one-transaction blocks).
     pub batch: BatchConfig,
-    /// How replicas partition their shard state and apply committed batches
-    /// (`partitions = 1` reproduces the seed's flat serial executor; results
-    /// are bit-identical in every mode).
-    pub exec: ExecutorConfig,
     /// How replica ledger views retain committed history (retain-all by
     /// default; checkpoint + truncate behind the audit watermark when
     /// enabled — results are bit-identical either way).
@@ -110,7 +104,7 @@ impl ReplicaConfig {
     }
 
     /// Like [`ReplicaConfig::shared`] with an explicit batching policy; the
-    /// executor stays at the serial default.
+    /// ledger retention stays at the retain-all default.
     pub fn shared_batched(
         system: SystemConfig,
         partitioner: Partitioner,
@@ -119,51 +113,26 @@ impl ReplicaConfig {
         batch: BatchConfig,
         registry: KeyRegistry,
     ) -> Arc<Self> {
-        Self::shared_full(
-            system,
-            partitioner,
-            cost,
-            timers,
-            batch,
-            ExecutorConfig::default(),
-            registry,
-        )
-    }
-
-    /// Like [`ReplicaConfig::shared_full`] with the ledger retention left at
-    /// the retain-all default.
-    pub fn shared_full(
-        system: SystemConfig,
-        partitioner: Partitioner,
-        cost: CostModel,
-        timers: TimerConfig,
-        batch: BatchConfig,
-        exec: ExecutorConfig,
-        registry: KeyRegistry,
-    ) -> Arc<Self> {
         Self::shared_configured(
             system,
             partitioner,
             cost,
             timers,
             batch,
-            exec,
             LedgerConfig::default(),
             registry,
         )
     }
 
-    /// The fully explicit constructor: batching policy, executor
-    /// (state-partitioning) and ledger retention configuration. Resharding
-    /// stays disabled; enable it with [`ReplicaConfig::with_reshard`].
-    #[allow(clippy::too_many_arguments)]
+    /// The fully explicit constructor: batching policy and ledger retention
+    /// configuration. Resharding stays disabled; enable it with
+    /// [`ReplicaConfig::with_reshard`].
     pub fn shared_configured(
         system: SystemConfig,
         partitioner: Partitioner,
         cost: CostModel,
         timers: TimerConfig,
         batch: BatchConfig,
-        exec: ExecutorConfig,
         ledger: LedgerConfig,
         registry: KeyRegistry,
     ) -> Arc<Self> {
@@ -173,7 +142,6 @@ impl ReplicaConfig {
             cost,
             timers,
             batch,
-            exec,
             ledger,
             reshard: ReshardConfig::default(),
             registry,

@@ -33,9 +33,7 @@ use sharper_crypto::keys::SignerId;
 use sharper_crypto::{hash, Digest, Signature, Signer};
 use sharper_ledger::{Batch, Block, LedgerView};
 use sharper_net::{Actor, ActorId, Context, TimerId};
-use sharper_state::{
-    AccountStore, ExecutionOutcome, Executor, PartitionedStore, Partitioner, Transaction,
-};
+use sharper_state::{AccountStore, ExecutionOutcome, Executor, Partitioner, Transaction};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
@@ -208,10 +206,8 @@ pub struct Replica {
     cfg: Arc<ReplicaConfig>,
     signer: Signer,
     executor: Executor,
-    /// The shard's account state, split by account range into
-    /// `cfg.exec.partitions` disjoint partitions (one partition with the
-    /// serial default — identical to the seed's flat store).
-    store: PartitionedStore,
+    /// The shard's account state.
+    store: AccountStore,
     ledger: LedgerView,
     /// This cluster's current view (primary = `view % cluster size`).
     view: u64,
@@ -301,13 +297,6 @@ impl Replica {
             .system
             .primary(cluster, 0)
             .expect("cluster exists in the configuration");
-        // Split the shard state by account range; one partition (the serial
-        // default) wraps the flat store unchanged.
-        let store = PartitionedStore::from_store(
-            store,
-            cfg.exec.partitions,
-            PartitionedStore::chunk_for(cfg.partitioner.accounts_per_shard(), cfg.exec.partitions),
-        );
         Self {
             node,
             cluster,
@@ -391,9 +380,8 @@ impl Replica {
         &self.ledger
     }
 
-    /// The replica's shard store (partitioned by account range; one
-    /// partition in the serial default).
-    pub fn store(&self) -> &PartitionedStore {
+    /// The replica's shard store.
+    pub fn store(&self) -> &AccountStore {
         &self.store
     }
 
@@ -422,23 +410,6 @@ impl Replica {
     /// Number of transactions this replica has committed (appended).
     pub fn committed_count(&self) -> usize {
         self.ledger.committed_count()
-    }
-
-    /// A one-line description of in-flight state, for debugging test runs.
-    #[doc(hidden)]
-    pub fn debug_state(&self) -> String {
-        format!(
-            "view={} reserved={:?} initiating={:?} buffered={} pending_intra={} pending_cross={} intra_open={} cross_open={} deferred={}",
-            self.view,
-            self.reservation.as_ref().map(|r| r.d.short()),
-            self.initiating.as_ref().map(|d| d.short()),
-            self.buffered.len(),
-            self.mempool.intra_len(),
-            self.mempool.cross_len(),
-            self.intra.values().filter(|r| !r.committed).count(),
-            self.cross.values().filter(|r| !r.committed).count(),
-            self.deferred.values().map(|v| v.len()).sum::<usize>(),
-        )
     }
 
     /// Whether the replica has no in-flight work (used by quiescence checks).
@@ -849,34 +820,10 @@ impl Replica {
             .maybe_checkpoint(&self.cfg.ledger)
             .expect("committed chain re-verifies at the watermark");
         // One execution-cost charge per transaction plus one block digest.
-        // The charge is identical in every executor mode: partitioning is a
-        // `SimConfig` knob and must never perturb simulated timing.
         ctx.charge(self.cfg.cost.execution_batch(batch.len()));
         // The whole batch applies atomically in order (commit_block already
-        // rejected blocks overlapping committed transactions). The
-        // partitioned scheduler merges outcomes back in batch order, so both
-        // paths are bit-identical. Batches carrying reshard control
-        // transactions always take the serial path: the freeze/handover
-        // effects span every partition, and forcing them serial (a pure
-        // function of batch content) keeps all executor modes bit-identical.
-        let has_reshard = batch.txs().iter().any(|tx| tx.is_reshard());
-        let outcomes = if self.cfg.exec.is_partitioned() && !has_reshard {
-            let applied = self.executor.apply_batch_partitioned(
-                &mut self.store,
-                batch.txs(),
-                self.cfg.exec.exec_threads,
-            );
-            ctx.trace(|| TraceKind::ExecPlan {
-                batch: batch.digest().short_u64(),
-                partitions: applied.active_partitions as u64,
-                steps: applied.total_steps as u64,
-                max_queue_depth: applied.max_queue_depth as u64,
-                makespan_units: applied.makespan_units,
-            });
-            applied.outcomes
-        } else {
-            self.executor.apply_batch(&mut self.store, batch.txs())
-        };
+        // rejected blocks overlapping committed transactions).
+        let outcomes = self.executor.apply_batch(&mut self.store, batch.txs());
         ctx.trace(|| TraceKind::Execute {
             block: self.ledger.head().short_u64(),
             batch: batch.digest().short_u64(),
@@ -904,7 +851,7 @@ impl Replica {
             }
         }
         self.stats.committed_blocks += 1;
-        if has_reshard {
+        if batch.txs().iter().any(|tx| tx.is_reshard()) {
             self.after_reshard_block(&batch, ctx);
         }
         self.after_commit_bookkeeping(ctx);

@@ -135,15 +135,6 @@ impl SystemParams {
         self
     }
 
-    /// Sets the executor (state-partitioning) configuration (builder style).
-    /// Like the thread mode, this is a `SimConfig` knob: every executor mode
-    /// produces bit-identical results — the golden-seed suite enforces it —
-    /// so it only models the apply-path parallelism.
-    pub fn with_executor(mut self, exec: sharper_common::ExecutorConfig) -> Self {
-        self.sim.exec = exec;
-        self
-    }
-
     /// Sets the ledger retention configuration (builder style). Like the
     /// thread mode, this is a `SimConfig` knob: truncating configurations
     /// produce bit-identical results to retain-all runs — the golden-seed
@@ -170,7 +161,6 @@ impl SystemParams {
             self.cost,
             self.timers,
             self.batch,
-            self.sim.exec,
             self.sim.ledger,
             registry,
         )
@@ -310,8 +300,8 @@ impl SharperSystem {
                     // wait percentiles over the merged per-replica histograms
                     // (bounded memory regardless of run length). Per-replica
                     // values are deterministic and the merge is commutative,
-                    // so these are thread-mode and executor-mode independent
-                    // like every other report field.
+                    // so these are thread-mode independent like every other
+                    // report field.
                     let m = r.mempool().metrics();
                     report.mempool_admitted += m.admitted;
                     report.mempool_evicted += m.evicted;
@@ -825,44 +815,5 @@ mod tests {
         assert!(system.replica(NodeId(99)).is_none());
         assert!(system.client(ClientId(1)).is_some());
         assert_eq!(system.config().system.cluster_count(), 2);
-    }
-}
-
-#[cfg(test)]
-mod debug_tests {
-    use super::*;
-
-    #[test]
-    #[ignore]
-    fn debug_crash_run() {
-        let mut params = SystemParams::new(FailureModel::Crash, 2, 1);
-        params.accounts_per_shard = 1_000;
-        params.warmup = SimTime::from_millis(100);
-        let mut system = SharperSystem::build(params, 4, |client| {
-            workload_with(client, 2, 1_000, 200, 0.2, 2)
-        });
-        let report = system.run(SimTime::from_secs(3));
-        println!(
-            "completed={} retrans={} summary={:?}",
-            report.client_completed, report.retransmissions, report.summary
-        );
-        println!("sim={:?}", report.simulation);
-        for (n, s) in &report.replica_stats {
-            println!("{n}: {s:?}");
-        }
-        for n in 0..6u32 {
-            let r = system.replica(NodeId(n)).unwrap();
-            println!("{n}: {}", r.debug_state());
-        }
-        let samples = system.stats().recent_samples();
-        for s in samples.iter().take(40) {
-            println!(
-                "tx={} cross={} sub={} lat={:.1}ms",
-                s.tx,
-                s.cross_shard,
-                s.submitted_at,
-                s.latency().as_millis_f64()
-            );
-        }
     }
 }

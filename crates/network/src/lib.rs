@@ -20,9 +20,9 @@
 //! function of its inputs — the property the protocol tests and the figure
 //! harness rely on.
 //!
-//! A small thread-based [`transport`] built on crossbeam channels is also
-//! provided for the examples that want to run replicas on real OS threads
-//! rather than inside the simulator.
+//! The crate also carries a small thread-based [`transport`] hub built on
+//! crossbeam channels. No example runs on it: every example, test and
+//! figure drives its actors inside the simulator.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -5,8 +5,7 @@
 //! (`examples/`), and re-exports the public API of every crate so examples
 //! and downstream users can depend on a single crate.
 //!
-//! See README.md for an overview, DESIGN.md for the system inventory and
-//! EXPERIMENTS.md for the paper-vs-measured comparison.
+//! See README.md for an overview and the design notes.
 
 #![forbid(unsafe_code)]
 

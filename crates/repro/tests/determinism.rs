@@ -9,7 +9,7 @@
 //! must also match bit for bit: the golden seeds are the correctness oracle
 //! for the parallel engine itself.
 
-use sharper_common::{ExecutorConfig, FailureModel, SimTime, ThreadMode};
+use sharper_common::{FailureModel, SimTime, ThreadMode};
 use sharper_core::{RunReport, SharperSystem, SystemParams};
 use sharper_crypto::Digest;
 use sharper_net::FaultPlan;
@@ -31,23 +31,12 @@ fn run_once_threaded(
     max_batch: u64,
     threads: ThreadMode,
 ) -> (RunReport, Digest) {
-    run_once_exec(model, seed, max_batch, threads, ExecutorConfig::default())
-}
-
-fn run_once_exec(
-    model: FailureModel,
-    seed: u64,
-    max_batch: u64,
-    threads: ThreadMode,
-    exec: ExecutorConfig,
-) -> (RunReport, Digest) {
     let clusters = 3usize;
     let mut params = SystemParams::new(model, clusters, 1)
         .with_faults(FaultPlan::none().with_drop_probability(0.01))
         .with_seed(seed)
         .with_batching(sharper_common::BatchConfig::with_size(max_batch as usize))
-        .with_threads(threads)
-        .with_executor(exec);
+        .with_threads(threads);
     params.accounts_per_shard = ACCOUNTS;
     params.warmup = SimTime::from_millis(100);
     let mut system = SharperSystem::build(params, 6, |client| {
@@ -134,38 +123,6 @@ fn batched_runs_with_the_same_seed_are_bit_identical() {
             .map(|(_, s)| (s.committed_blocks, s.committed_intra + s.committed_cross))
             .fold((0, 0), |(b, t), (bb, tt)| (b + bb, t + tt));
         assert!(txs > blocks, "{model}: {txs} txs in {blocks} blocks");
-    }
-}
-
-#[test]
-fn partitioned_executor_runs_are_bit_identical_to_serial_apply() {
-    // The state-partitioned executor is a pure apply-path reorganisation:
-    // per-partition queues and worker threads may reorder the *work*, never
-    // the per-account operation order, and the pipeline charges the same
-    // execution cost in every mode. Whole-deployment runs under every
-    // partition count must therefore reproduce the serial golden run bit
-    // for bit — reports, mempool telemetry and ledger digests included.
-    for model in [FailureModel::Crash, FailureModel::Byzantine] {
-        let (serial, serial_digest) = run_once_batched(model, 0xE4EC, 16);
-        assert!(serial.client_completed > 0, "{model}: no progress");
-        for partitions in [1usize, 2, 4] {
-            let (split, split_digest) = run_once_exec(
-                model,
-                0xE4EC,
-                16,
-                ThreadMode::Sequential,
-                ExecutorConfig::partitioned(partitions, 2),
-            );
-            assert_eq!(
-                serial.simulation, split.simulation,
-                "{model}: {partitions} partitions diverged"
-            );
-            assert_eq!(
-                serial_digest, split_digest,
-                "{model}: {partitions}-partition digest diverged"
-            );
-            assert_eq!(serial.client_completed, split.client_completed);
-        }
     }
 }
 

@@ -67,8 +67,8 @@ fn crash_deployment_sustains_mixed_workload_and_passes_audit() {
 fn byzantine_deployment_sustains_mixed_workload_and_passes_audit() {
     // Safety (the audit inside run()) and progress are the assertions here;
     // Byzantine cross-shard throughput under contended concurrent initiators
-    // is a documented deviation (EXPERIMENTS.md) and is measured by the
-    // figures harness rather than asserted in the test suite.
+    // is a known deviation (ROADMAP item 1) and is measured by the figures
+    // harness rather than asserted in the test suite.
     let report = sharper_run(FailureModel::Byzantine, 4, 0.2, 16, FaultPlan::none(), 3);
     assert!(report.audit.distinct_transactions > 0, "{:?}", report.audit);
     assert!(report.audit.cross_shard_transactions > 0);
@@ -171,12 +171,11 @@ fn former_ballotless_view_change_fork_seed_stays_safe() {
 }
 
 #[test]
-#[ignore = "long-running performance comparison; run the figures harness (see EXPERIMENTS.md)"]
+#[ignore = "fails today: unbatched cross-shard load collapses throughput (ROADMAP item 1)"]
 fn throughput_scales_with_the_number_of_clusters() {
     // Figure 8 shape: more clusters → more throughput at 10% cross-shard.
-    // This is a saturation experiment (hundreds of clients, several simulated
-    // seconds); it is executed by `cargo run -p sharper-bench --bin figures`
-    // and verified there rather than in the default test run.
+    // Five clusters currently commit less than two, so the assertion fails
+    // until the cross-shard path is fixed.
     let two = sharper_run(FailureModel::Crash, 2, 0.1, 80, FaultPlan::none(), 3);
     let five = sharper_run(FailureModel::Crash, 5, 0.1, 200, FaultPlan::none(), 3);
     assert!(
@@ -202,12 +201,12 @@ fn sharper_outperforms_non_sharded_baselines_without_cross_shard_load() {
 }
 
 #[test]
-#[ignore = "long-running performance comparison; run the figures harness (see EXPERIMENTS.md)"]
+#[ignore = "fails today: unbatched cross-shard load collapses throughput (ROADMAP item 1)"]
 fn sharper_outperforms_ahl_under_cross_shard_load() {
     // Figure 6(c)/(d) shape: the flattened protocol beats the reference
-    // committee when cross-shard transactions dominate. See EXPERIMENTS.md
-    // for the measured curves and the discussion of conflict behaviour under
-    // highly contended cross-shard workloads.
+    // committee when cross-shard transactions dominate. SharPer currently
+    // falls below AHL-C here, so the assertion fails until the cross-shard
+    // path is fixed.
     let sharper = sharper_run(FailureModel::Crash, 4, 0.8, 96, FaultPlan::none(), 3)
         .summary
         .throughput_tps;

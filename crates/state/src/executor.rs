@@ -203,15 +203,18 @@ impl Executor {
     /// than errors: the ordering decision has already been made by consensus,
     /// and every correct replica of the shard reaches the same outcome
     /// because it applies the same transactions in the same order.
-    pub fn apply(&self, store: &mut impl StateWrite, tx: &Transaction) -> ExecutionOutcome {
+    pub fn apply(&self, store: &mut AccountStore, tx: &Transaction) -> ExecutionOutcome {
         let rw = self.rw_set(tx);
-        self.run_full(store, tx, &rw)
+        let outcome = self.run_full(store, tx, &rw);
+        if outcome == ExecutionOutcome::Applied && tx.is_reshard() {
+            self.apply_reshard(store, tx, &rw);
+        }
+        outcome
     }
 
-    /// Validates and applies a transaction whose read/write set is already
-    /// computed. This is the single execution routine behind serial apply,
-    /// solo partition steps and multi-partition gang steps — only the store
-    /// view differs.
+    /// Validates a transaction whose read/write set is already computed and
+    /// applies its transfers. This is the execution routine behind serial
+    /// apply and the partitioned plan's gang steps — only the store differs.
     pub(crate) fn run_full(
         &self,
         store: &mut impl StateWrite,
@@ -225,29 +228,38 @@ impl Executor {
             return ExecutionOutcome::Aborted;
         }
         for (op, loc) in tx.operations.iter().zip(rw.ops()) {
-            match (op, loc) {
-                (
-                    Operation::Transfer { from, to, amount },
-                    OpLocality::Transfer {
-                        from_local,
-                        to_local,
-                    },
-                ) => {
-                    if *from_local {
-                        // Validation above guarantees this cannot fail.
-                        store
-                            .debit(*from, tx.client(), *amount)
-                            .expect("validated debit");
-                    }
-                    if *to_local {
-                        if !store.contains(*to) {
-                            // Transfers may create the destination account, as in
-                            // the UTXO-to-account translation of the workload.
-                            store.create_account(*to, tx.client(), 0);
-                        }
-                        store.credit(*to, *amount).expect("destination exists");
-                    }
+            if let (
+                Operation::Transfer { from, to, amount },
+                OpLocality::Transfer {
+                    from_local,
+                    to_local,
+                },
+            ) = (op, loc)
+            {
+                if *from_local {
+                    // Validation above guarantees this cannot fail.
+                    store
+                        .debit(*from, tx.client(), *amount)
+                        .expect("validated debit");
                 }
+                if *to_local {
+                    if !store.contains(*to) {
+                        // Transfers may create the destination account, as in
+                        // the UTXO-to-account translation of the workload.
+                        store.create_account(*to, tx.client(), 0);
+                    }
+                    store.credit(*to, *amount).expect("destination exists");
+                }
+            }
+        }
+        ExecutionOutcome::Applied
+    }
+
+    /// Applies the resharding control operations of a validated transaction:
+    /// a freeze marks the moving range, a handover moves it between shards.
+    fn apply_reshard(&self, store: &mut AccountStore, tx: &Transaction, rw: &RwSet) {
+        for (op, loc) in tx.operations.iter().zip(rw.ops()) {
+            match (op, loc) {
                 (Operation::Freeze { start, len, .. }, OpLocality::Reshard { local: true }) => {
                     store.set_frozen(*start, *len);
                 }
@@ -283,7 +295,6 @@ impl Executor {
                 _ => {}
             }
         }
-        ExecutionOutcome::Applied
     }
 
     /// Runs the validate-and-write step of a split transaction against the
@@ -366,25 +377,23 @@ impl Executor {
     /// reaches from the same order).
     pub fn apply_batch(
         &self,
-        store: &mut impl StateWrite,
+        store: &mut AccountStore,
         txs: &[std::sync::Arc<Transaction>],
     ) -> Vec<ExecutionOutcome> {
         txs.iter().map(|tx| self.apply(store, tx)).collect()
     }
 
-    /// Applies a committed batch through the partitioned scheduler: per
-    /// partition work queues, conflict-ordered steps, up to `exec_threads`
-    /// workers. Outcomes (and the resulting state) are bit-identical to
-    /// [`Executor::apply_batch`] in batch-index order; the returned plan
-    /// statistics additionally report the schedule's critical path for the
-    /// apply-path cost model.
+    /// Applies a committed batch of transfers and reads step by step along
+    /// its partitioned plan ([`crate::ExecPlan`]), on the calling thread.
+    /// Outcomes (and the resulting state) equal [`Executor::apply_batch`]'s
+    /// in batch-index order; the result also reports the plan's critical
+    /// path for the apply-path cost model.
     pub fn apply_batch_partitioned(
         &self,
         store: &mut PartitionedStore,
         txs: &[std::sync::Arc<Transaction>],
-        exec_threads: usize,
     ) -> PartitionedApply {
-        scheduler::execute(self, store, txs, exec_threads)
+        scheduler::execute(self, store, txs)
     }
 
     /// Snapshots the frozen range `[start, start + len)` into the handover
@@ -427,7 +436,8 @@ impl Executor {
     }
 
     /// Like [`Executor::genesis_store`] but split into `partitions`
-    /// account-range partitions for the partitioned executor.
+    /// contiguous account ranges for [`Executor::apply_batch_partitioned`]
+    /// (a hash partitioner's unbounded shard stripes single accounts).
     pub fn genesis_partitioned(
         &self,
         partitions: usize,
@@ -436,7 +446,10 @@ impl Executor {
         owner_of: impl Fn(u64) -> sharper_common::ClientId,
     ) -> PartitionedStore {
         let flat = self.genesis_store(accounts_per_shard, initial_balance, owner_of);
-        let chunk = PartitionedStore::chunk_for(self.partitioner.accounts_per_shard(), partitions);
+        let chunk = self
+            .partitioner
+            .accounts_per_shard()
+            .map_or(1, |aps| aps.div_ceil(partitions.max(1) as u64));
         PartitionedStore::from_store(flat, partitions, chunk)
     }
 }

@@ -6,8 +6,8 @@
 //! balance; a read operation must exist) or only written (a credit to the
 //! destination account). Validation and apply both consume this summary, so
 //! account → shard ownership is resolved exactly once per account on the hot
-//! path, and the scheduler uses the same summary to route transactions to
-//! state partitions and to detect intra-batch conflicts.
+//! path, and the partitioned plan uses the same summary to route
+//! transactions to state partitions.
 
 use sharper_common::AccountId;
 
@@ -29,8 +29,8 @@ pub enum OpLocality {
         local: bool,
     },
     /// A resharding control operation (freeze or handover): whether this
-    /// shard participates. Reshard batches always take the serial apply
-    /// path, so the flag only feeds `any_local` and conflict detection.
+    /// shard participates. Reshard transactions only apply serially, so the
+    /// flag only feeds `any_local`.
     Reshard {
         /// This shard is the range's source or destination.
         local: bool,
@@ -87,8 +87,7 @@ impl RwSet {
 
     /// Whether this transaction conflicts with `other`: some account written
     /// by one is read or written by the other. Read-read sharing is not a
-    /// conflict. Conflicting transactions must stay in consensus order; the
-    /// scheduler's per-partition, index-ordered queues enforce exactly that.
+    /// conflict. Conflicting transactions must stay in consensus order.
     pub fn conflicts_with(&self, other: &RwSet) -> bool {
         let hits = |writes: &[AccountId], reads: &[AccountId], other_writes: &[AccountId]| {
             writes
