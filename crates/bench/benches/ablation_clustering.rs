@@ -5,7 +5,7 @@
 //! same 10% cross-shard workload.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sharper_bench::sharper_point;
+use sharper_bench::{figure_params, sharper_point};
 use sharper_common::{FailureModel, SimTime};
 
 fn ablation(c: &mut Criterion) {
@@ -19,7 +19,8 @@ fn ablation(c: &mut Criterion) {
         ("group_aware_5_clusters", 5),
     ] {
         group.bench_with_input(BenchmarkId::new(label, clusters), &clusters, |b, &n| {
-            b.iter(|| sharper_point(FailureModel::Byzantine, n, 0.10, 4 * n, duration))
+            let params = figure_params(FailureModel::Byzantine, n);
+            b.iter(|| sharper_point(params.clone(), 0.10, 4 * n, duration))
         });
     }
     group.finish();

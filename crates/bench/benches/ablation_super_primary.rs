@@ -2,8 +2,8 @@
 //! under a cross-shard-heavy workload (conflicts vs. no conflicts, §3.2).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sharper_bench::{sharper_point, sharper_point_no_super_primary};
-use sharper_common::{FailureModel, SimTime};
+use sharper_bench::{figure_params, sharper_point};
+use sharper_common::{FailureModel, InitiationPolicy, SimTime};
 
 fn ablation(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_super_primary");
@@ -14,10 +14,12 @@ fn ablation(c: &mut Criterion) {
     for ratio in [0.2, 0.8] {
         let pct = (ratio * 100.0) as u32;
         group.bench_with_input(BenchmarkId::new("super_primary", pct), &ratio, |b, &r| {
-            b.iter(|| sharper_point(FailureModel::Crash, 4, r, 8, duration))
+            b.iter(|| sharper_point(figure_params(FailureModel::Crash, 4), r, 8, duration))
         });
         group.bench_with_input(BenchmarkId::new("any_initiator", pct), &ratio, |b, &r| {
-            b.iter(|| sharper_point_no_super_primary(FailureModel::Crash, 4, r, 8, duration))
+            let params = figure_params(FailureModel::Crash, 4)
+                .with_initiation_policy(InitiationPolicy::AnyInvolvedCluster);
+            b.iter(|| sharper_point(params.clone(), r, 8, duration))
         });
     }
     group.finish();

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sharper_baselines::BaselineKind;
-use sharper_bench::{baseline_point, sharper_point};
+use sharper_bench::{baseline_point, figure_params, sharper_point};
 use sharper_common::{FailureModel, SimTime};
 
 fn fig7(c: &mut Criterion) {
@@ -15,7 +15,7 @@ fn fig7(c: &mut Criterion) {
     for ratio in [0.0, 0.2, 0.8, 1.0] {
         let pct = (ratio * 100.0) as u32;
         group.bench_with_input(BenchmarkId::new("SharPer", pct), &ratio, |b, &r| {
-            b.iter(|| sharper_point(FailureModel::Byzantine, 4, r, 8, duration))
+            b.iter(|| sharper_point(figure_params(FailureModel::Byzantine, 4), r, 8, duration))
         });
         group.bench_with_input(BenchmarkId::new("AHL-B", pct), &ratio, |b, &r| {
             b.iter(|| baseline_point(BaselineKind::AhlB, r, 8, duration))

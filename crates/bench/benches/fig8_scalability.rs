@@ -1,7 +1,7 @@
 //! Figure 8: SharPer throughput with 2–5 clusters at 90% intra-shard load.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sharper_bench::sharper_point;
+use sharper_bench::{figure_params, sharper_point};
 use sharper_common::{FailureModel, SimTime};
 
 fn fig8(c: &mut Criterion) {
@@ -11,14 +11,15 @@ fn fig8(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(500));
     let duration = SimTime::from_millis(800);
     for clusters in [2usize, 3, 4, 5] {
-        group.bench_with_input(BenchmarkId::new("crash", clusters), &clusters, |b, &n| {
-            b.iter(|| sharper_point(FailureModel::Crash, n, 0.10, 4 * n, duration))
-        });
-        group.bench_with_input(
-            BenchmarkId::new("byzantine", clusters),
-            &clusters,
-            |b, &n| b.iter(|| sharper_point(FailureModel::Byzantine, n, 0.10, 4 * n, duration)),
-        );
+        for (label, model) in [
+            ("crash", FailureModel::Crash),
+            ("byzantine", FailureModel::Byzantine),
+        ] {
+            group.bench_with_input(BenchmarkId::new(label, clusters), &clusters, |b, &n| {
+                let params = figure_params(model, n);
+                b.iter(|| sharper_point(params.clone(), 0.10, 4 * n, duration))
+            });
+        }
     }
     group.finish();
 }

@@ -17,13 +17,12 @@
 //! warmup allows). Failing seeds are printed and the process exits non-zero;
 //! CI uploads the output file as an artifact.
 
-use sharper_bench::cli_flag_value;
+use sharper_bench::{cli_flag_value, deployment, write_output};
 use sharper_common::{FailureModel, InitiationPolicy, NodeId, SimTime};
-use sharper_core::{SharperSystem, SystemParams};
+use sharper_core::{RunReport, SystemParams};
 use sharper_net::FaultPlan;
-use sharper_workload::{WorkloadConfig, WorkloadGenerator};
-use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -87,36 +86,40 @@ impl Scenario {
     }
 }
 
+/// Runs one deployment with [`ACCOUNTS`] accounts per shard for `secs`
+/// simulated seconds. The ledger audit inside `SharperSystem::run` panics on
+/// a safety violation; that panic comes back as an error.
+fn run_audited(
+    mut params: SystemParams,
+    clients: usize,
+    cross_ratio: f64,
+    secs: u64,
+) -> Result<RunReport, String> {
+    params.accounts_per_shard = ACCOUNTS;
+    catch_unwind(AssertUnwindSafe(|| {
+        deployment(params, clients, cross_ratio, None).run(SimTime::from_secs(secs))
+    }))
+    .map_err(|panic| {
+        let msg = panic
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| panic.downcast_ref::<&str>().copied())
+            .unwrap_or("run panicked");
+        format!("audit panic: {msg}")
+    })
+}
+
 /// The fairness scenario: a 10-simulated-second, 100% cross-shard run where
 /// every involved cluster may initiate. Fails when any initiator cluster
 /// completes more than [`FAIRNESS_SPREAD_LIMIT`] times the slowest one, or
 /// when an initiator completes too few transactions for the ratio to mean
 /// anything (which itself indicates starvation at these run lengths).
 fn run_fairness(seed: u64, secs: u64) -> Result<String, String> {
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let mut params = SystemParams::new(FailureModel::Crash, FAIRNESS_CLUSTERS, 1)
-            .with_seed(seed)
-            .with_initiation_policy(InitiationPolicy::AnyInvolvedCluster);
-        params.accounts_per_shard = ACCOUNTS;
-        params.warmup = SimTime::from_millis(300);
-        let mut system = SharperSystem::build(params, FAIRNESS_CLIENTS, |client| {
-            let mut cfg = WorkloadConfig::evaluation(FAIRNESS_CLUSTERS as u32, 1.0);
-            cfg.accounts_per_shard = ACCOUNTS;
-            WorkloadGenerator::new(client, cfg)
-        });
-        system.run(SimTime::from_secs(secs.max(10)))
-    }));
-    let report = match outcome {
-        Ok(report) => report,
-        Err(panic) => {
-            let msg = panic
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| panic.downcast_ref::<&str>().copied())
-                .unwrap_or("run panicked");
-            return Err(format!("audit panic: {msg}"));
-        }
-    };
+    let mut params = SystemParams::new(FailureModel::Crash, FAIRNESS_CLUSTERS, 1)
+        .with_seed(seed)
+        .with_initiation_policy(InitiationPolicy::AnyInvolvedCluster);
+    params.warmup = SimTime::from_millis(300);
+    let report = run_audited(params, FAIRNESS_CLIENTS, 1.0, secs.max(10))?;
     let completions: Vec<usize> = (0..FAIRNESS_CLUSTERS)
         .map(|c| {
             report
@@ -148,30 +151,11 @@ fn run_one(scenario: Scenario, seed: u64, secs: u64) -> Result<String, String> {
     if scenario == Scenario::Fairness {
         return run_fairness(seed, secs);
     }
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let mut params = SystemParams::new(FailureModel::Crash, CLUSTERS, 1)
-            .with_faults(scenario.faults())
-            .with_seed(seed);
-        params.accounts_per_shard = ACCOUNTS;
-        params.warmup = SimTime::from_millis(200);
-        let mut system = SharperSystem::build(params, CLIENTS, |client| {
-            let mut cfg = WorkloadConfig::evaluation(CLUSTERS as u32, CROSS_RATIO);
-            cfg.accounts_per_shard = ACCOUNTS;
-            WorkloadGenerator::new(client, cfg)
-        });
-        system.run(SimTime::from_secs(secs))
-    }));
-    let report = match outcome {
-        Ok(report) => report,
-        Err(panic) => {
-            let msg = panic
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| panic.downcast_ref::<&str>().copied())
-                .unwrap_or("run panicked");
-            return Err(format!("audit panic: {msg}"));
-        }
-    };
+    let mut params = SystemParams::new(FailureModel::Crash, CLUSTERS, 1)
+        .with_faults(scenario.faults())
+        .with_seed(seed);
+    params.warmup = SimTime::from_millis(200);
+    let report = run_audited(params, CLIENTS, CROSS_RATIO, secs)?;
     if report.audit.distinct_transactions < MIN_DISTINCT_TXS {
         return Err(format!(
             "insufficient progress: {} distinct txs",
@@ -285,12 +269,7 @@ fn main() {
     lines.push(summary);
 
     if let Some(path) = out {
-        let body = lines.join("\n") + "\n";
-        if let Err(e) = std::fs::File::create(&path).and_then(|mut f| f.write_all(body.as_bytes()))
-        {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        }
+        write_output(Path::new(&path), &(lines.join("\n") + "\n"));
     }
     if !failures.is_empty() {
         std::process::exit(1);

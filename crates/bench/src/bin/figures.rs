@@ -23,18 +23,15 @@ use sharper_bench::{
     batching_to_json, cli_flag_value, cli_thread_mode, exec_to_json, fig8xl_to_json,
     figure_batching, figure_cross_shard_sweep, figure_exec, figure_fig8xl, figure_parallel,
     figure_reshard, figure_scalability, figure_to_json, parallel_to_json,
-    reshard_fairness_markdown, reshard_to_json, BatchSeries, ExecSweep, Fig8xlSweep, ParallelSweep,
-    ReshardSweep, Series,
+    reshard_fairness_markdown, reshard_to_json, write_output, BatchSeries, ExecSweep, Fig8xlSweep,
+    ParallelSweep, ReshardSweep, Series,
 };
 use sharper_common::{FailureModel, SimTime, ThreadMode};
 use std::path::Path;
 
 fn print_series(title: &str, series: &[Series]) {
     println!("\n=== {title} ===");
-    println!(
-        "{:<12} {:>8} {:>16} {:>14}",
-        "system", "clients", "throughput(tps)", "latency(ms)"
-    );
+    println!("system        clients  throughput(tps)    latency(ms)");
     for s in series {
         for p in &s.points {
             println!(
@@ -53,10 +50,8 @@ fn emit(out_dir: &Path, name: &str, title: &str, series: &[Series]) {
 
 fn write_json(out_dir: &Path, name: &str, json: &str) {
     let path = out_dir.join(format!("BENCH_{name}.json"));
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("BENCH_JSON {}", path.display()),
-        Err(e) => eprintln!("failed to write {}: {e}", path.display()),
-    }
+    write_output(&path, json);
+    println!("BENCH_JSON {}", path.display());
 }
 
 fn main() {
@@ -142,47 +137,43 @@ fn main() {
             &series,
         );
     }
-    if wants("fig8xl") {
-        // The bounded-memory scaling sweep is much heavier than the paper
-        // figures (384 replicas, ≥100k clients at the top point), so it only
-        // runs when requested explicitly — never as part of "all figures".
-        if only
-            .as_deref()
-            .is_some_and(|f| f.eq_ignore_ascii_case("fig8xl"))
+    // The bounded-memory scaling sweep is much heavier than the paper
+    // figures (384 replicas, ≥100k clients at the top point), so it only
+    // runs when requested explicitly — never as part of "all figures".
+    if only
+        .as_deref()
+        .is_some_and(|f| f.eq_ignore_ascii_case("fig8xl"))
+    {
+        let duration = if quick {
+            SimTime::from_millis(700)
+        } else {
+            SimTime::from_secs(2)
+        };
+        let sweep = figure_fig8xl(&[32, 64, 128], 800, threads, duration);
+        print_fig8xl(&sweep);
+        write_json(&out_dir, "fig8xl", &fig8xl_to_json(&sweep));
+        for p in &sweep.points {
+            if p.retained_blocks >= p.logical_blocks {
+                eprintln!(
+                    "fig8xl: truncation never pruned at {} clusters \
+                     ({} retained of {} logical blocks)",
+                    p.clusters, p.retained_blocks, p.logical_blocks
+                );
+                std::process::exit(1);
+            }
+        }
+        if let Some(ceiling) =
+            cli_flag_value(&args, "--assert-peak-rss-mb").and_then(|v| v.parse::<f64>().ok())
         {
-            let duration = if quick {
-                SimTime::from_millis(700)
-            } else {
-                SimTime::from_secs(2)
-            };
-            let sweep = figure_fig8xl(&[32, 64, 128], 800, threads, duration);
-            print_fig8xl(&sweep);
-            write_json(&out_dir, "fig8xl", &fig8xl_to_json(&sweep));
-            for p in &sweep.points {
-                if p.retained_blocks >= p.logical_blocks {
-                    eprintln!(
-                        "fig8xl: truncation never pruned at {} clusters \
-                         ({} retained of {} logical blocks)",
-                        p.clusters, p.retained_blocks, p.logical_blocks
-                    );
-                    std::process::exit(1);
-                }
+            let peak = sweep
+                .points
+                .iter()
+                .fold(0.0f64, |m, p| m.max(p.peak_rss_mb));
+            if peak > ceiling {
+                eprintln!("fig8xl: peak RSS {peak:.0} MiB exceeds the {ceiling:.0} MiB ceiling");
+                std::process::exit(1);
             }
-            if let Some(ceiling) =
-                cli_flag_value(&args, "--assert-peak-rss-mb").and_then(|v| v.parse::<f64>().ok())
-            {
-                let peak = sweep
-                    .points
-                    .iter()
-                    .fold(0.0f64, |m, p| m.max(p.peak_rss_mb));
-                if peak > ceiling {
-                    eprintln!(
-                        "fig8xl: peak RSS {peak:.0} MiB exceeds the {ceiling:.0} MiB ceiling"
-                    );
-                    std::process::exit(1);
-                }
-                println!("fig8xl: peak RSS {peak:.0} MiB within the {ceiling:.0} MiB ceiling");
-            }
+            println!("fig8xl: peak RSS {peak:.0} MiB within the {ceiling:.0} MiB ceiling");
         }
     }
     if wants("batching") {
@@ -226,12 +217,9 @@ fn main() {
         let sweep = figure_reshard(reshard_clients, threads, reshard_duration);
         print_reshard(&sweep);
         write_json(&out_dir, "reshard", &reshard_to_json(&sweep));
-        let fairness_md = reshard_fairness_markdown(&sweep);
         let md_path = out_dir.join("reshard-fairness.md");
-        match std::fs::write(&md_path, &fairness_md) {
-            Ok(()) => println!("FAIRNESS_TABLE {}", md_path.display()),
-            Err(e) => eprintln!("failed to write {}: {e}", md_path.display()),
-        }
+        write_output(&md_path, &reshard_fairness_markdown(&sweep));
+        println!("FAIRNESS_TABLE {}", md_path.display());
         if sweep.dynamic_speedup < 1.3 {
             eprintln!(
                 "reshard: dynamic resharding is only {:.2}x static under hot-key drift \
@@ -266,10 +254,7 @@ fn print_reshard(sweep: &ReshardSweep) {
          {}-account window drifting every {} txs) ===",
         sweep.clusters, sweep.zipf_s, sweep.span, sweep.drift_every
     );
-    println!(
-        "{:<10} {:>8} {:>16} {:>14} {:>10} {:>10}",
-        "system", "clients", "throughput(tps)", "latency(ms)", "reshards", "redirects"
-    );
+    println!("system      clients  throughput(tps)    latency(ms)   reshards  redirects");
     for p in &sweep.points {
         println!(
             "{:<10} {:>8} {:>16.0} {:>14.1} {:>10} {:>10}",
@@ -294,18 +279,7 @@ fn print_fig8xl(sweep: &Fig8xlSweep) {
         "\n=== Figure 8xl: bounded-memory scaling sweep ({} workers, {} host cpus) ===",
         sweep.threads, sweep.host_cpus
     );
-    println!(
-        "{:>8} {:>9} {:>8} {:>16} {:>12} {:>10} {:>10} {:>9} {:>10}",
-        "clusters",
-        "replicas",
-        "clients",
-        "throughput(tps)",
-        "latency(ms)",
-        "retained",
-        "logical",
-        "rss(MiB)",
-        "wall(ms)"
-    );
+    println!("clusters  replicas  clients  throughput(tps)  latency(ms)   retained    logical  rss(MiB)   wall(ms)");
     for p in &sweep.points {
         println!(
             "{:>8} {:>9} {:>8} {:>16.0} {:>12.1} {:>10} {:>10} {:>9.0} {:>10.0}",
@@ -329,15 +303,7 @@ fn print_fig8xl(sweep: &Fig8xlSweep) {
 fn print_exec(sweep: &ExecSweep) {
     println!("\n=== Partitioned executor: modelled apply-path throughput ===");
     println!(
-        "{:>10} {:>6} {:>6} {:>9} {:>16} {:>12} {:>9} {:>10}",
-        "partitions",
-        "batch",
-        "txs",
-        "modelled",
-        "throughput(tps)",
-        "serial(tps)",
-        "wall(ms)",
-        "identical"
+        "partitions  batch    txs  modelled  throughput(tps)  serial(tps)  wall(ms)  identical"
     );
     for p in &sweep.points {
         println!(
@@ -359,17 +325,7 @@ fn print_parallel(sweep: &ParallelSweep) {
         "\n=== Parallel simulation speedup ({} workers, {} host cpus) ===",
         sweep.threads, sweep.host_cpus
     );
-    println!(
-        "{:>8} {:>9} {:>8} {:>16} {:>12} {:>12} {:>8} {:>10}",
-        "clusters",
-        "replicas",
-        "clients",
-        "throughput(tps)",
-        "seq(ms)",
-        "par(ms)",
-        "speedup",
-        "identical"
-    );
+    println!("clusters  replicas  clients  throughput(tps)      seq(ms)      par(ms)  speedup  identical");
     for p in &sweep.points {
         println!(
             "{:>8} {:>9} {:>8} {:>16.0} {:>12.1} {:>12.1} {:>7.2}x {:>10}",
@@ -388,8 +344,7 @@ fn print_parallel(sweep: &ParallelSweep) {
 fn print_batching(title: &str, series: &[BatchSeries]) {
     println!("\n=== {title} ===");
     println!(
-        "{:<36} {:>6} {:>8} {:>16} {:>14}",
-        "system", "batch", "clients", "throughput(tps)", "latency(ms)"
+        "system                                batch  clients  throughput(tps)    latency(ms)"
     );
     for s in series {
         for p in &s.points {

@@ -24,15 +24,15 @@
 //! digests must be just as bit-identical across thread modes and under
 //! truncation as the static ones.
 
-use sharper_bench::{cli_flag_value, cli_thread_mode};
+use sharper_bench::{cli_flag_value, cli_thread_mode, deployment, write_output};
 use sharper_common::{
     BatchConfig, Duration, FailureModel, ForcedMove, LedgerConfig, ReshardConfig, SimTime,
     ThreadMode,
 };
-use sharper_core::{SharperSystem, SystemParams};
+use sharper_core::SystemParams;
 use sharper_net::FaultPlan;
-use sharper_workload::{HotspotConfig, WorkloadConfig, WorkloadGenerator};
-use std::io::Write;
+use sharper_workload::HotspotConfig;
+use std::path::Path;
 
 struct GoldenConfig {
     name: &'static str,
@@ -43,6 +43,11 @@ struct GoldenConfig {
     max_batch: usize,
     drop_probability: f64,
     seed: u64,
+    /// Dynamic-resharding plane (`--reshard` deployments only, crash model);
+    /// these lines end with the count of applied reshards.
+    reshard: Option<ReshardConfig>,
+    /// Drifting Zipfian hotspot over the workload; `None` is uniform.
+    hotspot: Option<HotspotConfig>,
 }
 
 /// The golden deployments: both failure models, intra-dominant and pure
@@ -58,6 +63,8 @@ const CONFIGS: &[GoldenConfig] = &[
         max_batch: 1,
         drop_probability: 0.01,
         seed: 0xC0FFEE,
+        reshard: None,
+        hotspot: None,
     },
     GoldenConfig {
         name: "byz-3c-30cross-drop1-seed-beef",
@@ -68,6 +75,8 @@ const CONFIGS: &[GoldenConfig] = &[
         max_batch: 1,
         drop_probability: 0.01,
         seed: 0xBEEF,
+        reshard: None,
+        hotspot: None,
     },
     GoldenConfig {
         name: "crash-4c-100cross-batch16-seed-7",
@@ -78,6 +87,8 @@ const CONFIGS: &[GoldenConfig] = &[
         max_batch: 16,
         drop_probability: 0.0,
         seed: 7,
+        reshard: None,
+        hotspot: None,
     },
     GoldenConfig {
         name: "byz-4c-0cross-batch8-seed-99",
@@ -88,40 +99,32 @@ const CONFIGS: &[GoldenConfig] = &[
         max_batch: 8,
         drop_probability: 0.0,
         seed: 99,
+        reshard: None,
+        hotspot: None,
     },
 ];
 
 const ACCOUNTS: u64 = 1_000;
 
-/// A golden deployment with the dynamic-resharding plane active (crash model
-/// only). Run with `--reshard`; the digest-diff matrix covers these across
-/// the same thread/retention modes as the base configs.
-struct ReshardGoldenConfig {
-    name: &'static str,
-    cross_ratio: f64,
-    clients: usize,
-    drop_probability: f64,
-    seed: u64,
-    reshard: ReshardConfig,
-    hotspot: Option<HotspotConfig>,
-}
-
 /// The reshard golden deployments: one scripted split + merge pair (the
 /// merge is the inverse move, restoring the genesis map), and one fully
 /// load-driven run under a drifting hotspot. Both must be bit-identical
 /// across every thread mode and under ledger truncation.
-fn reshard_configs() -> Vec<ReshardGoldenConfig> {
+fn reshard_configs() -> Vec<GoldenConfig> {
     vec![
-        ReshardGoldenConfig {
+        GoldenConfig {
             name: "reshard-forced-split-merge-drop1-seed-5",
+            model: FailureModel::Crash,
+            clusters: 3,
             cross_ratio: 0.2,
             clients: 6,
+            max_batch: 1,
             drop_probability: 0.01,
             seed: 5,
             // One split mid-run, then the inverse move (a merge) 600 ms
             // later: the catalog range [600, 640) leaves shard 0 for
             // cluster 2 and comes home again.
-            reshard: ReshardConfig {
+            reshard: Some(ReshardConfig {
                 // A tight check interval keeps the scripted times sharp and
                 // re-sends directives lost to the 1% drop rate promptly.
                 check_interval: Duration::from_millis(100),
@@ -139,22 +142,25 @@ fn reshard_configs() -> Vec<ReshardGoldenConfig> {
                         to: 0,
                     },
                 ])
-            },
+            }),
             hotspot: None,
         },
-        ReshardGoldenConfig {
+        GoldenConfig {
             name: "reshard-load-driven-hotspot-seed-11",
+            model: FailureModel::Crash,
+            clusters: 3,
             cross_ratio: 0.0,
             clients: 8,
+            max_batch: 1,
             drop_probability: 0.0,
             seed: 11,
-            reshard: ReshardConfig {
+            reshard: Some(ReshardConfig {
                 enabled: true,
                 buckets_per_shard: 100,
                 report_interval: Duration::from_millis(100),
                 check_interval: Duration::from_millis(200),
                 ..ReshardConfig::enabled()
-            },
+            }),
             hotspot: Some(HotspotConfig {
                 hot_ratio: 0.8,
                 s: 1.2,
@@ -165,39 +171,8 @@ fn reshard_configs() -> Vec<ReshardGoldenConfig> {
     ]
 }
 
-fn run_reshard_config(
-    cfg: &ReshardGoldenConfig,
-    threads: ThreadMode,
-    ledger: LedgerConfig,
-) -> String {
-    let mut params = SystemParams::new(FailureModel::Crash, 3, 1)
-        .with_faults(FaultPlan::none().with_drop_probability(cfg.drop_probability))
-        .with_seed(cfg.seed)
-        .with_batching(BatchConfig::with_size(1))
-        .with_threads(threads)
-        .with_ledger(ledger)
-        .with_reshard(cfg.reshard.clone());
-    params.accounts_per_shard = ACCOUNTS;
-    params.warmup = SimTime::from_millis(100);
-    let (cross_ratio, hotspot) = (cfg.cross_ratio, cfg.hotspot);
-    let mut system = SharperSystem::build(params, cfg.clients, move |client| {
-        let mut wl = WorkloadConfig::evaluation(3, cross_ratio);
-        wl.accounts_per_shard = ACCOUNTS;
-        wl.hotspot = hotspot;
-        WorkloadGenerator::new(client, wl)
-    });
-    let report = system.run(SimTime::from_secs(2));
-    format!(
-        "{} {} {} {} {} reshards={}",
-        cfg.name,
-        system.ledger_digest().to_hex(),
-        report.summary.committed,
-        report.simulation.delivered,
-        report.simulation.dropped,
-        report.reshards_applied
-    )
-}
-
+/// Runs one golden deployment for two simulated seconds with [`ACCOUNTS`]
+/// accounts per shard and a 100 ms warm-up and returns its output line.
 fn run_config(cfg: &GoldenConfig, threads: ThreadMode, ledger: LedgerConfig) -> String {
     let mut params = SystemParams::new(cfg.model, cfg.clusters, 1)
         .with_faults(FaultPlan::none().with_drop_probability(cfg.drop_probability))
@@ -205,24 +180,25 @@ fn run_config(cfg: &GoldenConfig, threads: ThreadMode, ledger: LedgerConfig) -> 
         .with_batching(BatchConfig::with_size(cfg.max_batch))
         .with_threads(threads)
         .with_ledger(ledger);
+    if let Some(reshard) = &cfg.reshard {
+        params = params.with_reshard(reshard.clone());
+    }
     params.accounts_per_shard = ACCOUNTS;
     params.warmup = SimTime::from_millis(100);
-    let clusters = cfg.clusters as u32;
-    let cross_ratio = cfg.cross_ratio;
-    let mut system = SharperSystem::build(params, cfg.clients, |client| {
-        let mut wl = WorkloadConfig::evaluation(clusters, cross_ratio);
-        wl.accounts_per_shard = ACCOUNTS;
-        WorkloadGenerator::new(client, wl)
-    });
+    let mut system = deployment(params, cfg.clients, cfg.cross_ratio, cfg.hotspot);
     let report = system.run(SimTime::from_secs(2));
-    format!(
+    let line = format!(
         "{} {} {} {} {}",
         cfg.name,
         system.ledger_digest().to_hex(),
         report.summary.committed,
         report.simulation.delivered,
         report.simulation.dropped
-    )
+    );
+    match cfg.reshard {
+        Some(_) => format!("{line} reshards={}", report.reshards_applied),
+        None => line,
+    }
 }
 
 fn main() {
@@ -243,29 +219,22 @@ fn main() {
         }
     };
 
-    let reshard = args.iter().any(|a| a == "--reshard");
-    let mut lines = Vec::with_capacity(CONFIGS.len());
-    if reshard {
-        for cfg in &reshard_configs() {
-            let line = run_reshard_config(cfg, threads, ledger);
-            println!("[{threads}] {line}");
-            lines.push(line);
-        }
+    let reshard_list;
+    let configs = if args.iter().any(|a| a == "--reshard") {
+        reshard_list = reshard_configs();
+        &reshard_list[..]
     } else {
-        for cfg in CONFIGS {
-            let line = run_config(cfg, threads, ledger);
-            println!("[{threads}] {line}");
-            lines.push(line);
-        }
+        CONFIGS
+    };
+    let lines: Vec<String> = configs
+        .iter()
+        .map(|cfg| run_config(cfg, threads, ledger))
+        .collect();
+    for line in &lines {
+        println!("[{threads}] {line}");
     }
-    let body = lines.join("\n") + "\n";
     if let Some(path) = out {
-        match std::fs::File::create(&path).and_then(|mut f| f.write_all(body.as_bytes())) {
-            Ok(()) => println!("GOLDEN {path}"),
-            Err(e) => {
-                eprintln!("failed to write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
+        write_output(Path::new(&path), &(lines.join("\n") + "\n"));
+        println!("GOLDEN {path}");
     }
 }

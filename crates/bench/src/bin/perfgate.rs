@@ -26,7 +26,8 @@
 //! they depend on the runner's core count and load. Only simulated
 //! throughput is.
 
-use sharper_bench::cli_flag_value;
+use sharper_bench::json::Object;
+use sharper_bench::{cli_flag_value, write_output};
 use std::path::{Path, PathBuf};
 use std::process::exit;
 
@@ -34,24 +35,22 @@ use std::process::exit;
 const GATED_FIGURES: &[&str] = &["fig6a", "batching", "parallel", "exec", "fig8xl", "reshard"];
 
 /// Extracts every `"throughput_tps":<number>` value from a BENCH json
-/// document. The format is produced by this workspace (see
-/// `sharper_bench::figure_to_json`), so a targeted scan is exact — no
+/// document. Every such document is rendered by this crate's one writer
+/// (`sharper_bench::json::Object`), so a targeted scan is exact — no
 /// general JSON parser is needed (or available offline).
 fn throughput_values(json: &str) -> Vec<f64> {
-    const NEEDLE: &str = "\"throughput_tps\":";
-    let mut values = Vec::new();
-    let mut rest = json;
-    while let Some(pos) = rest.find(NEEDLE) {
-        rest = &rest[pos + NEEDLE.len()..];
-        let end = rest
-            .find(|c: char| c != '-' && c != '.' && !c.is_ascii_digit())
-            .unwrap_or(rest.len());
-        if let Ok(v) = rest[..end].parse::<f64>() {
-            values.push(v);
-        }
-        rest = &rest[end..];
-    }
-    values
+    json.split("\"throughput_tps\":")
+        .skip(1)
+        .filter_map(leading_number)
+        .collect()
+}
+
+/// Parses the number at the start of `text`.
+fn leading_number(text: &str) -> Option<f64> {
+    let end = text
+        .find(|c: char| c != '-' && c != '.' && !c.is_ascii_digit())
+        .unwrap_or(text.len());
+    text[..end].parse().ok()
 }
 
 /// The headline metric of one figure: the maximum throughput of any point.
@@ -68,13 +67,16 @@ fn headline(fresh_dir: &Path, figure: &str) -> Option<f64> {
 /// Reads the baseline metric for `figure` out of the baseline document
 /// (format: `{"figures":[{"figure":"fig6a","max_throughput_tps":N},...]}`).
 fn baseline_metric(baseline: &str, figure: &str) -> Option<f64> {
-    let needle = format!("{{\"figure\":\"{figure}\",\"max_throughput_tps\":");
+    let needle = format!("\"figure\":\"{figure}\",\"max_throughput_tps\":");
     let pos = baseline.find(&needle)?;
-    let rest = &baseline[pos + needle.len()..];
-    let end = rest
-        .find(|c: char| c != '-' && c != '.' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse::<f64>().ok()
+    leading_number(&baseline[pos + needle.len()..])
+}
+
+/// One entry of the baseline document.
+fn baseline_entry(figure: &str, metric: f64) -> Object {
+    Object::new()
+        .string("figure", figure)
+        .num("max_throughput_tps", metric, 3)
 }
 
 /// Appends a markdown per-figure ratio table to `$GITHUB_STEP_SUMMARY` when
@@ -166,9 +168,7 @@ fn main() {
                 if !selected.contains(figure) {
                     if let Some(metric) = baseline_metric(&existing, figure) {
                         println!("{figure:<10} max_throughput_tps {metric:>12.3} (kept)");
-                        entries.push(format!(
-                            "{{\"figure\":\"{figure}\",\"max_throughput_tps\":{metric:.3}}}"
-                        ));
+                        entries.push(baseline_entry(figure, metric));
                     }
                     continue;
                 }
@@ -177,18 +177,10 @@ fn main() {
                     exit(1);
                 };
                 println!("{figure:<10} max_throughput_tps {metric:>12.3}");
-                entries.push(format!(
-                    "{{\"figure\":\"{figure}\",\"max_throughput_tps\":{metric:.3}}}"
-                ));
+                entries.push(baseline_entry(figure, metric));
             }
-            let body = format!("{{\"figures\":[{}]}}\n", entries.join(","));
-            if let Some(parent) = baseline_path.parent() {
-                let _ = std::fs::create_dir_all(parent);
-            }
-            if let Err(e) = std::fs::write(&baseline_path, body) {
-                eprintln!("failed to write {}: {e}", baseline_path.display());
-                exit(1);
-            }
+            let body = Object::new().array("figures", entries).finish() + "\n";
+            write_output(&baseline_path, &body);
             println!("BASELINE {}", baseline_path.display());
         }
         Some("check") => {

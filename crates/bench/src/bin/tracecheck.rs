@@ -17,15 +17,14 @@
 //! process. A deliberately corrupted trace is checked last as a negative
 //! control — the analyzer must flag it, proving the gate can actually fail.
 
-use sharper_bench::cli_flag_value;
 use sharper_bench::trace::{analyze, check_invariants, phases_to_json, PhaseBreakdown};
+use sharper_bench::{cli_flag_value, deployment, write_output};
 use sharper_common::{
     trace_to_jsonl, Duration, FailureModel, NodeId, ReshardConfig, SimTime, TraceEvent, TraceKind,
 };
-use sharper_core::{SharperSystem, SystemParams};
+use sharper_core::SystemParams;
 use sharper_net::FaultPlan;
-use sharper_workload::{HotspotConfig, WorkloadConfig, WorkloadGenerator};
-use std::io::Write;
+use sharper_workload::HotspotConfig;
 use std::path::Path;
 
 const ACCOUNTS: u64 = 1_000;
@@ -44,75 +43,48 @@ struct Scenario {
     hotspot: Option<HotspotConfig>,
 }
 
+impl Scenario {
+    /// A scenario on the uniform workload with the resharding plane off.
+    fn new(name: &'static str, model: FailureModel, f: usize, faults: FaultPlan) -> Self {
+        Scenario {
+            name,
+            model,
+            f,
+            faults,
+            reshard: ReshardConfig::default(),
+            hotspot: None,
+        }
+    }
+}
+
 fn scenarios() -> Vec<Scenario> {
+    let crash = |name, faults| Scenario::new(name, FailureModel::Crash, 1, faults);
+    let backup_down = || FaultPlan::none().with_crash(NodeId(1), SimTime::from_millis(300));
     vec![
-        Scenario {
-            name: "clean",
-            model: FailureModel::Crash,
-            f: 1,
-            faults: FaultPlan::none(),
-            reshard: ReshardConfig::default(),
-            hotspot: None,
-        },
-        Scenario {
-            name: "loss",
-            model: FailureModel::Crash,
-            f: 1,
-            faults: FaultPlan::none().with_drop_probability(0.02),
-            reshard: ReshardConfig::default(),
-            hotspot: None,
-        },
-        Scenario {
-            name: "crash",
-            model: FailureModel::Crash,
-            f: 1,
-            faults: FaultPlan::none().with_crash(NodeId(1), SimTime::from_millis(300)),
-            reshard: ReshardConfig::default(),
-            hotspot: None,
-        },
-        Scenario {
-            name: "loss+crash",
-            model: FailureModel::Crash,
-            f: 1,
-            faults: FaultPlan::none()
-                .with_drop_probability(0.02)
-                .with_crash(NodeId(1), SimTime::from_millis(300)),
-            reshard: ReshardConfig::default(),
-            hotspot: None,
-        },
+        crash("clean", FaultPlan::none()),
+        crash("loss", FaultPlan::none().with_drop_probability(0.02)),
+        crash("crash", backup_down()),
+        crash("loss+crash", backup_down().with_drop_probability(0.02)),
         // Cascading primary crashes: cluster 0's view-0 primary goes down,
         // then its successor. f = 2 (5 replicas per cluster) keeps the
         // cascade within the fault budget; exercises repeated view changes,
         // so the I4 monotonicity check sees real view-change spans.
-        Scenario {
-            name: "cascade",
-            model: FailureModel::Crash,
-            f: 2,
-            faults: FaultPlan::none().with_crash_cascade(
+        Scenario::new(
+            "cascade",
+            FailureModel::Crash,
+            2,
+            FaultPlan::none().with_crash_cascade(
                 [NodeId(0), NodeId(1)],
                 SimTime::from_millis(300),
                 Duration::from_millis(1_200),
             ),
-            reshard: ReshardConfig::default(),
-            hotspot: None,
-        },
-        Scenario {
-            name: "byzantine",
-            model: FailureModel::Byzantine,
-            f: 1,
-            faults: FaultPlan::none(),
-            reshard: ReshardConfig::default(),
-            hotspot: None,
-        },
+        ),
+        Scenario::new("byzantine", FailureModel::Byzantine, 1, FaultPlan::none()),
         // Online resharding under a drifting hotspot: load reports trigger
         // real splits/merges mid-run, so every lifecycle invariant is checked
         // across epoch changes, frozen ranges and handover blocks. The run
         // must contain at least one ReshardApply or it proves nothing.
         Scenario {
-            name: "reshard",
-            model: FailureModel::Crash,
-            f: 1,
-            faults: FaultPlan::none(),
             reshard: ReshardConfig {
                 buckets_per_shard: 100,
                 report_interval: Duration::from_millis(100),
@@ -125,6 +97,7 @@ fn scenarios() -> Vec<Scenario> {
                 span: 60,
                 drift_every: 150,
             }),
+            ..crash("reshard", FaultPlan::none())
         },
     ]
 }
@@ -137,13 +110,7 @@ fn run_scenario(s: &Scenario, seed: u64, secs: u64) -> (Vec<TraceEvent>, PhaseBr
         .with_tracing(true);
     params.accounts_per_shard = ACCOUNTS;
     params.warmup = SimTime::from_millis(200);
-    let hotspot = s.hotspot;
-    let mut system = SharperSystem::build(params, CLIENTS, move |client| {
-        let mut cfg = WorkloadConfig::evaluation(CLUSTERS as u32, CROSS_RATIO);
-        cfg.accounts_per_shard = ACCOUNTS;
-        cfg.hotspot = hotspot;
-        WorkloadGenerator::new(client, cfg)
-    });
+    let mut system = deployment(params, CLIENTS, CROSS_RATIO, s.hotspot);
     system.run(SimTime::from_secs(secs));
     let trace = system.take_trace();
     let breakdown = analyze(&trace);
@@ -167,18 +134,6 @@ fn corrupt(trace: &[TraceEvent]) -> Vec<TraceEvent> {
         })
         .cloned()
         .collect()
-}
-
-fn write_file(path: &Path, body: &str) {
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir).expect("create output directory");
-    }
-    std::fs::File::create(path)
-        .and_then(|mut f| f.write_all(body.as_bytes()))
-        .unwrap_or_else(|e| {
-            eprintln!("failed to write {}: {e}", path.display());
-            std::process::exit(1);
-        });
 }
 
 fn main() {
@@ -258,11 +213,11 @@ fn main() {
         );
     }
 
-    write_file(
+    write_output(
         &out_dir.join("BENCH_phases.json"),
         &phases_to_json(&breakdowns),
     );
-    write_file(
+    write_output(
         &out_dir.join("trace-clean-sample.jsonl"),
         &trace_to_jsonl(&clean_trace),
     );

@@ -9,14 +9,19 @@
 //!   and figure so `cargo bench` exercises every experiment quickly.
 //! * The `figures` binary (`cargo run -p sharper-bench --release --bin
 //!   figures`) runs the full sweeps and prints the series that correspond to
-//!   Figures 6(a)–(d), 7(a)–(d) and 8(a)–(b), plus the two ablations
-//!   described in DESIGN.md.
+//!   Figures 6(a)–(d), 7(a)–(d) and 8(a)–(b). The two ablations run as
+//!   criterion benches (`benches/ablation_super_primary.rs`,
+//!   `benches/ablation_clustering.rs`; README, "Layout").
+//! * Every SharPer deployment is built by [`deployment`] and every
+//!   `BENCH_*.json` document is rendered by [`json::Object`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod json;
 pub mod trace;
 
+use json::Object;
 use serde::Serialize;
 use sharper_baselines::{BaselineKind, BaselineParams, BaselineSystem};
 use sharper_common::{
@@ -26,6 +31,7 @@ use sharper_common::{
 use sharper_core::{SharperSystem, SystemParams};
 use sharper_state::{Executor, Partitioner, Transaction, TX_UNITS};
 use sharper_workload::{HotspotConfig, WorkloadConfig, WorkloadGenerator};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -72,76 +78,77 @@ pub struct Series {
     pub points: Vec<CurvePoint>,
 }
 
-impl CurvePoint {
-    /// Renders this point as a JSON object.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"clients\":{},\"throughput_tps\":{:.3},\"latency_ms\":{:.3},\"committed\":{},\
-             \"mempool_peak_depth\":{},\"mempool_wait_p95_us\":{},\
-             \"phase_consensus_ms\":{:.3},\"phase_cross_ms\":{:.3},\"phase_exec_ms\":{:.3}}}",
-            self.clients,
-            self.throughput_tps,
-            self.latency_ms,
-            self.committed,
-            self.mempool_peak_depth,
-            self.mempool_wait_p95_us,
-            self.phase_consensus_ms,
-            self.phase_cross_ms,
-            self.phase_exec_ms
-        )
-    }
-}
-
-impl Series {
-    /// Renders this series as a JSON object.
-    pub fn to_json(&self) -> String {
-        let points: Vec<String> = self.points.iter().map(CurvePoint::to_json).collect();
-        format!(
-            "{{\"system\":{},\"points\":[{}]}}",
-            json_string(&self.system),
-            points.join(",")
-        )
-    }
-}
-
 /// Renders a figure (several series) as one machine-readable JSON document,
 /// the payload of the `BENCH_<figure>.json` files written by the `figures`
 /// binary. The format is intentionally dependency-free and stable so the
 /// performance trajectory can be diffed across commits.
 pub fn figure_to_json(figure: &str, series: &[Series]) -> String {
-    let rendered: Vec<String> = series.iter().map(Series::to_json).collect();
-    format!(
-        "{{\"figure\":{},\"series\":[{}]}}",
-        json_string(figure),
-        rendered.join(",")
-    )
+    Object::new()
+        .string("figure", figure)
+        .array(
+            "series",
+            series.iter().map(|s| {
+                Object::new().string("system", &s.system).array(
+                    "points",
+                    s.points.iter().map(|p| {
+                        Object::new()
+                            .int("clients", p.clients)
+                            .num("throughput_tps", p.throughput_tps, 3)
+                            .num("latency_ms", p.latency_ms, 3)
+                            .int("committed", p.committed)
+                            .int("mempool_peak_depth", p.mempool_peak_depth)
+                            .int("mempool_wait_p95_us", p.mempool_wait_p95_us)
+                            .num("phase_consensus_ms", p.phase_consensus_ms, 3)
+                            .num("phase_cross_ms", p.phase_cross_ms, 3)
+                            .num("phase_exec_ms", p.phase_exec_ms, 3)
+                    }),
+                )
+            }),
+        )
+        .finish()
 }
 
-/// Escapes a string as a JSON string literal.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+/// The deployment every figure starts from: `clusters` clusters of `model`
+/// replicas with f = 1, [`ACCOUNTS_PER_SHARD`] accounts per shard and a
+/// 300 ms warm-up. Figures layer threads, batching, initiation policy,
+/// ledger retention and resharding on top with `SystemParams`'s builders.
+pub fn figure_params(model: FailureModel, clusters: usize) -> SystemParams {
+    let mut params = SystemParams::new(model, clusters, 1);
+    params.accounts_per_shard = ACCOUNTS_PER_SHARD;
+    params.warmup = SimTime::from_millis(300);
+    params
 }
 
-/// Runs a built SharPer deployment for `duration` and folds the report plus
-/// the traced per-phase latency breakdown into a [`CurvePoint`]. The system
-/// must have been built with tracing enabled; tracing never changes the
-/// measured numbers (the golden-seed suite enforces it), it only fills the
-/// `phase_*` fields.
-fn traced_curve_point(system: &mut SharperSystem, clients: usize, duration: SimTime) -> CurvePoint {
+/// Builds the SharPer deployment `params` driven by `clients` closed-loop
+/// clients running the evaluation workload at `cross_ratio`, optionally
+/// under a drifting `hotspot`. The workload's shard and account counts come
+/// from `params`, so each is written once per deployment. Every SharPer
+/// deployment of this crate — figures and CI gates alike — is built here.
+pub fn deployment(
+    params: SystemParams,
+    clients: usize,
+    cross_ratio: f64,
+    hotspot: Option<HotspotConfig>,
+) -> SharperSystem {
+    let mut workload = WorkloadConfig::evaluation(params.clusters as u32, cross_ratio);
+    workload.accounts_per_shard = params.accounts_per_shard;
+    workload.hotspot = hotspot;
+    SharperSystem::build(params, clients, move |client| {
+        WorkloadGenerator::new(client, workload)
+    })
+}
+
+/// Runs SharPer at one operating point and folds the report plus the traced
+/// per-phase latency breakdown into a [`CurvePoint`]. Tracing is switched on
+/// here; it never changes the measured numbers (the golden-seed suite
+/// enforces it), it only fills the `phase_*` fields.
+pub fn sharper_point(
+    params: SystemParams,
+    cross_ratio: f64,
+    clients: usize,
+    duration: SimTime,
+) -> CurvePoint {
+    let mut system = deployment(params.with_tracing(true), clients, cross_ratio, None);
     let report = system.run(duration);
     let breakdown = trace::analyze(&system.take_trace());
     CurvePoint {
@@ -157,98 +164,14 @@ fn traced_curve_point(system: &mut SharperSystem, clients: usize, duration: SimT
     }
 }
 
-/// Runs SharPer at one operating point on the sequential engine.
-pub fn sharper_point(
-    model: FailureModel,
-    clusters: usize,
-    cross_ratio: f64,
-    clients: usize,
-    duration: SimTime,
-) -> CurvePoint {
-    sharper_point_threads(
-        model,
-        clusters,
-        cross_ratio,
-        clients,
-        ThreadMode::Sequential,
-        duration,
-    )
-}
-
-/// Runs SharPer at one operating point under an explicit simulator thread
-/// mode. The mode never changes the measured results — parallel runs are
-/// bit-identical to sequential ones — only the harness's wall-clock time.
-pub fn sharper_point_threads(
-    model: FailureModel,
-    clusters: usize,
-    cross_ratio: f64,
-    clients: usize,
-    threads: ThreadMode,
-    duration: SimTime,
-) -> CurvePoint {
-    let mut params = SystemParams::new(model, clusters, 1)
-        .with_threads(threads)
-        .with_tracing(true);
-    params.accounts_per_shard = ACCOUNTS_PER_SHARD;
-    params.warmup = SimTime::from_millis(300);
-    params.initiation_policy = InitiationPolicy::SuperPrimary;
-    let mut system = SharperSystem::build(params, clients, |client| {
-        let mut cfg = WorkloadConfig::evaluation(clusters as u32, cross_ratio);
-        cfg.accounts_per_shard = ACCOUNTS_PER_SHARD;
-        WorkloadGenerator::new(client, cfg)
-    });
-    traced_curve_point(&mut system, clients, duration)
-}
-
-/// Runs SharPer at one operating point with an explicit batching policy.
-/// Clients pipeline `max_batch_size` requests so batches actually fill.
-pub fn sharper_point_batched(
-    model: FailureModel,
-    clusters: usize,
-    cross_ratio: f64,
-    clients: usize,
-    max_batch_size: usize,
-    duration: SimTime,
-) -> CurvePoint {
-    sharper_point_batched_threads(
-        model,
-        clusters,
-        cross_ratio,
-        clients,
-        max_batch_size,
-        ThreadMode::Sequential,
-        duration,
-    )
-}
-
-/// Like [`sharper_point_batched`] but under an explicit simulator thread
-/// mode (which never changes the measured results).
-#[allow(clippy::too_many_arguments)]
-pub fn sharper_point_batched_threads(
-    model: FailureModel,
-    clusters: usize,
-    cross_ratio: f64,
-    clients: usize,
-    max_batch_size: usize,
-    threads: ThreadMode,
-    duration: SimTime,
-) -> CurvePoint {
-    let mut params = SystemParams::new(model, clusters, 1)
-        .with_batching(BatchConfig::with_size(max_batch_size))
-        .with_threads(threads)
-        .with_tracing(true);
-    params.accounts_per_shard = ACCOUNTS_PER_SHARD;
-    params.warmup = SimTime::from_millis(300);
-    params.initiation_policy = InitiationPolicy::SuperPrimary;
-    // A fixed pipeline depth for every batch size, so the offered load is
-    // identical across the sweep and only the batching policy varies.
+/// [`figure_params`] with `max_batch_size` batches and a fixed 16-request
+/// in-flight window for every batch size, so the offered load is identical
+/// across the batching sweep and only the batching policy varies.
+fn batching_params(model: FailureModel, clusters: usize, max_batch_size: usize) -> SystemParams {
+    let mut params =
+        figure_params(model, clusters).with_batching(BatchConfig::with_size(max_batch_size));
     params.client.max_in_flight = 16;
-    let mut system = SharperSystem::build(params, clients, |client| {
-        let mut cfg = WorkloadConfig::evaluation(clusters as u32, cross_ratio);
-        cfg.accounts_per_shard = ACCOUNTS_PER_SHARD;
-        WorkloadGenerator::new(client, cfg)
-    });
-    traced_curve_point(&mut system, clients, duration)
+    params
 }
 
 /// One point of the throughput-vs-batch-size sweep.
@@ -277,34 +200,30 @@ pub struct BatchSeries {
     pub speedup_vs_unbatched: f64,
 }
 
-impl BatchSeries {
-    fn to_json(&self) -> String {
-        let points: Vec<String> = self
-            .points
-            .iter()
-            .map(|p| {
-                format!(
-                    "{{\"batch_size\":{},\"clients\":{},\"throughput_tps\":{:.3},\"latency_ms\":{:.3},\"committed\":{}}}",
-                    p.batch_size, p.clients, p.throughput_tps, p.latency_ms, p.committed
-                )
-            })
-            .collect();
-        format!(
-            "{{\"system\":{},\"points\":[{}],\"speedup_vs_unbatched\":{:.3}}}",
-            json_string(&self.system),
-            points.join(","),
-            self.speedup_vs_unbatched
-        )
-    }
-}
-
 /// Renders the batching sweep as the `BENCH_batching.json` document.
 pub fn batching_to_json(series: &[BatchSeries]) -> String {
-    let rendered: Vec<String> = series.iter().map(BatchSeries::to_json).collect();
-    format!(
-        "{{\"figure\":\"batching\",\"series\":[{}]}}",
-        rendered.join(",")
-    )
+    Object::new()
+        .string("figure", "batching")
+        .array(
+            "series",
+            series.iter().map(|s| {
+                Object::new()
+                    .string("system", &s.system)
+                    .array(
+                        "points",
+                        s.points.iter().map(|p| {
+                            Object::new()
+                                .int("batch_size", p.batch_size)
+                                .int("clients", p.clients)
+                                .num("throughput_tps", p.throughput_tps, 3)
+                                .num("latency_ms", p.latency_ms, 3)
+                                .int("committed", p.committed)
+                        }),
+                    )
+                    .num("speedup_vs_unbatched", s.speedup_vs_unbatched, 3)
+            }),
+        )
+        .finish()
 }
 
 /// Runs the throughput-vs-batch-size sweep: Byzantine intra-shard load at a
@@ -322,58 +241,30 @@ pub fn figure_batching(
     threads: ThreadMode,
     duration: SimTime,
 ) -> Vec<BatchSeries> {
-    let clusters = 2usize;
-    let mut series = Vec::new();
-    let mut points = Vec::new();
-    for &batch in batch_sizes {
-        let p = sharper_point_batched_threads(
-            FailureModel::Byzantine,
-            clusters,
-            0.0,
-            clients,
-            batch,
-            threads,
-            duration,
-        );
-        points.push(BatchPoint {
-            batch_size: batch,
-            clients,
-            throughput_tps: p.throughput_tps,
-            latency_ms: p.latency_ms,
-            committed: p.committed,
-        });
-    }
+    let points: Vec<BatchPoint> = batch_sizes
+        .iter()
+        .map(|&batch| {
+            let params = batching_params(FailureModel::Byzantine, 2, batch).with_threads(threads);
+            let p = sharper_point(params, 0.0, clients, duration);
+            BatchPoint {
+                batch_size: batch,
+                clients,
+                throughput_tps: p.throughput_tps,
+                latency_ms: p.latency_ms,
+                committed: p.committed,
+            }
+        })
+        .collect();
     let baseline = points
         .iter()
         .find(|p| p.batch_size == 1)
         .map_or(0.0, |p| p.throughput_tps);
     let best = points.last().map_or(0.0, |p| p.throughput_tps);
-    series.push(BatchSeries {
+    vec![BatchSeries {
         system: "SharPer byzantine 0% cross-shard".to_string(),
         points,
-        speedup_vs_unbatched: if baseline > 0.0 { best / baseline } else { 0.0 },
-    });
-    series
-}
-
-/// Runs SharPer without the super-primary optimisation (ablation A1).
-pub fn sharper_point_no_super_primary(
-    model: FailureModel,
-    clusters: usize,
-    cross_ratio: f64,
-    clients: usize,
-    duration: SimTime,
-) -> CurvePoint {
-    let mut params = SystemParams::new(model, clusters, 1).with_tracing(true);
-    params.accounts_per_shard = ACCOUNTS_PER_SHARD;
-    params.warmup = SimTime::from_millis(300);
-    params.initiation_policy = InitiationPolicy::AnyInvolvedCluster;
-    let mut system = SharperSystem::build(params, clients, |client| {
-        let mut cfg = WorkloadConfig::evaluation(clusters as u32, cross_ratio);
-        cfg.accounts_per_shard = ACCOUNTS_PER_SHARD;
-        WorkloadGenerator::new(client, cfg)
-    });
-    traced_curve_point(&mut system, clients, duration)
+        speedup_vs_unbatched: ratio(best, baseline),
+    }]
 }
 
 /// Runs one baseline at one operating point.
@@ -386,11 +277,10 @@ pub fn baseline_point(
     let mut params = BaselineParams::paper(kind);
     params.accounts_per_shard = ACCOUNTS_PER_SHARD;
     params.warmup = SimTime::from_millis(300);
-    let clusters = params.clusters as u32;
-    let mut system = BaselineSystem::build(params, clients, |client| {
-        let mut cfg = WorkloadConfig::evaluation(clusters, cross_ratio);
-        cfg.accounts_per_shard = ACCOUNTS_PER_SHARD;
-        WorkloadGenerator::new(client, cfg)
+    let mut workload = WorkloadConfig::evaluation(params.clusters as u32, cross_ratio);
+    workload.accounts_per_shard = params.accounts_per_shard;
+    let mut system = BaselineSystem::build(params, clients, move |client| {
+        WorkloadGenerator::new(client, workload)
     });
     let report = system.run(duration);
     CurvePoint {
@@ -441,9 +331,12 @@ pub fn figure_cross_shard_sweep(
             let points = client_counts
                 .iter()
                 .map(|&clients| match kind {
-                    None => {
-                        sharper_point_threads(model, 4, cross_ratio, clients, threads, duration)
-                    }
+                    None => sharper_point(
+                        figure_params(model, 4).with_threads(threads),
+                        cross_ratio,
+                        clients,
+                        duration,
+                    ),
                     Some(k) => baseline_point(k, cross_ratio, clients, duration),
                 })
                 .collect();
@@ -468,10 +361,10 @@ pub fn figure_scalability(
         .iter()
         .map(|&clusters| {
             let clients = clients_per_cluster * clusters;
-            let point = sharper_point_threads(model, clusters, 0.10, clients, threads, duration);
+            let params = figure_params(model, clusters).with_threads(threads);
             Series {
                 system: format!("{clusters} clusters"),
-                points: vec![point],
+                points: vec![sharper_point(params, 0.10, clients, duration)],
             }
         })
         .collect()
@@ -528,15 +421,8 @@ fn parallel_probe(
     threads: ThreadMode,
     duration: SimTime,
 ) -> (sharper_core::RunReport, sharper_crypto::Digest, f64) {
-    let mut params = SystemParams::new(FailureModel::Crash, clusters, 1).with_threads(threads);
-    params.accounts_per_shard = ACCOUNTS_PER_SHARD;
-    params.warmup = SimTime::from_millis(300);
-    params.initiation_policy = InitiationPolicy::SuperPrimary;
-    let mut system = SharperSystem::build(params, clients, |client| {
-        let mut cfg = WorkloadConfig::evaluation(clusters as u32, 0.10);
-        cfg.accounts_per_shard = ACCOUNTS_PER_SHARD;
-        WorkloadGenerator::new(client, cfg)
-    });
+    let params = figure_params(FailureModel::Crash, clusters).with_threads(threads);
+    let mut system = deployment(params, clients, 0.10, None);
     let started = Instant::now();
     let report = system.run(duration);
     let wall_ms = started.elapsed().as_secs_f64() * 1_000.0;
@@ -569,7 +455,7 @@ pub fn figure_parallel(
                 throughput_tps: seq_report.summary.throughput_tps,
                 wall_ms_sequential: seq_ms,
                 wall_ms_parallel: par_ms,
-                speedup: if par_ms > 0.0 { seq_ms / par_ms } else { 0.0 },
+                speedup: ratio(seq_ms, par_ms),
                 identical: seq_digest == par_digest
                     && seq_report.simulation == par_report.simulation
                     && seq_report.summary.committed == par_report.summary.committed,
@@ -674,18 +560,11 @@ pub fn figure_fig8xl(
         .iter()
         .map(|&clusters| {
             let clients = clients_per_cluster * clusters;
-            let mut params = SystemParams::new(FailureModel::Crash, clusters, 1)
+            let params = figure_params(FailureModel::Crash, clusters)
                 .with_batching(BatchConfig::with_size(16))
                 .with_threads(threads)
                 .with_ledger(FIG8XL_LEDGER);
-            params.accounts_per_shard = ACCOUNTS_PER_SHARD;
-            params.warmup = SimTime::from_millis(300);
-            params.initiation_policy = InitiationPolicy::SuperPrimary;
-            let mut system = SharperSystem::build(params, clients, |client| {
-                let mut cfg = WorkloadConfig::evaluation(clusters as u32, 0.10);
-                cfg.accounts_per_shard = ACCOUNTS_PER_SHARD;
-                WorkloadGenerator::new(client, cfg)
-            });
+            let mut system = deployment(params, clients, 0.10, None);
             let started = Instant::now();
             let report = system.run(duration);
             let wall_ms = started.elapsed().as_secs_f64() * 1_000.0;
@@ -717,38 +596,30 @@ pub fn figure_fig8xl(
 
 /// Renders the fig8xl sweep as the `BENCH_fig8xl.json` document.
 pub fn fig8xl_to_json(sweep: &Fig8xlSweep) -> String {
-    let points: Vec<String> = sweep
-        .points
-        .iter()
-        .map(|p| {
-            format!(
-                "{{\"clusters\":{},\"replicas\":{},\"clients\":{},\"committed\":{},\
-                 \"throughput_tps\":{:.3},\"latency_ms\":{:.3},\"retained_blocks\":{},\
-                 \"logical_blocks\":{},\"checkpoint_interval\":{},\"retain_blocks\":{},\
-                 \"peak_rss_mb\":{:.1},\"wall_ms\":{:.1}}}",
-                p.clusters,
-                p.replicas,
-                p.clients,
-                p.committed,
-                p.throughput_tps,
-                p.latency_ms,
-                p.retained_blocks,
-                p.logical_blocks,
-                p.checkpoint_interval,
-                p.retain_blocks,
-                p.peak_rss_mb,
-                p.wall_ms
-            )
-        })
-        .collect();
-    format!(
-        "{{\"figure\":\"fig8xl\",\"threads\":{},\"host_cpus\":{},\"max_throughput_tps\":{:.3},\
-         \"points\":[{}]}}",
-        json_string(&sweep.threads),
-        sweep.host_cpus,
-        sweep.max_throughput_tps,
-        points.join(",")
-    )
+    Object::new()
+        .string("figure", "fig8xl")
+        .string("threads", &sweep.threads)
+        .int("host_cpus", sweep.host_cpus)
+        .num("max_throughput_tps", sweep.max_throughput_tps, 3)
+        .array(
+            "points",
+            sweep.points.iter().map(|p| {
+                Object::new()
+                    .int("clusters", p.clusters)
+                    .int("replicas", p.replicas)
+                    .int("clients", p.clients)
+                    .int("committed", p.committed)
+                    .num("throughput_tps", p.throughput_tps, 3)
+                    .num("latency_ms", p.latency_ms, 3)
+                    .int("retained_blocks", p.retained_blocks)
+                    .int("logical_blocks", p.logical_blocks)
+                    .int("checkpoint_interval", p.checkpoint_interval)
+                    .int("retain_blocks", p.retain_blocks)
+                    .num("peak_rss_mb", p.peak_rss_mb, 1)
+                    .num("wall_ms", p.wall_ms, 1)
+            }),
+        )
+        .finish()
 }
 
 /// One point of the partitioned-executor sweep: the same uniform transfer
@@ -788,6 +659,15 @@ pub struct ExecPoint {
 pub struct ExecSweep {
     /// One point per (partitions, batch_size) combination.
     pub points: Vec<ExecPoint>,
+}
+
+/// `num / den`, or zero when `den` is not positive.
+fn ratio(num: f64, den: f64) -> f64 {
+    if den > 0.0 {
+        num / den
+    } else {
+        0.0
+    }
 }
 
 /// Deterministic SplitMix64 stream used to generate the executor workload.
@@ -874,21 +754,9 @@ pub fn figure_exec(seed: u64, quick: bool) -> ExecSweep {
                 txs: total,
                 makespan_units,
                 serial_units,
-                speedup_modeled: if makespan_units > 0 {
-                    serial_units as f64 / makespan_units as f64
-                } else {
-                    0.0
-                },
-                throughput_tps: if sched_us > 0 {
-                    total as f64 / (sched_us as f64 / 1e6)
-                } else {
-                    0.0
-                },
-                serial_tps: if serial_us > 0 {
-                    total as f64 / (serial_us as f64 / 1e6)
-                } else {
-                    0.0
-                },
+                speedup_modeled: ratio(serial_units as f64, makespan_units as f64),
+                throughput_tps: ratio(total as f64, sched_us as f64 / 1e6),
+                serial_tps: ratio(total as f64, serial_us as f64 / 1e6),
                 wall_ms,
                 identical_to_serial: outcomes == serial_outcomes && split.to_store() == flat,
             });
@@ -899,29 +767,38 @@ pub fn figure_exec(seed: u64, quick: bool) -> ExecSweep {
 
 /// Renders the executor sweep as the `BENCH_exec.json` document.
 pub fn exec_to_json(sweep: &ExecSweep) -> String {
-    let points: Vec<String> = sweep
-        .points
-        .iter()
-        .map(|p| {
-            format!(
-                "{{\"partitions\":{},\"batch_size\":{},\"txs\":{},\
-                 \"makespan_units\":{},\"serial_units\":{},\"speedup_modeled\":{:.3},\
-                 \"throughput_tps\":{:.3},\"serial_tps\":{:.3},\"wall_ms\":{:.1},\
-                 \"identical_to_serial\":{}}}",
-                p.partitions,
-                p.batch_size,
-                p.txs,
-                p.makespan_units,
-                p.serial_units,
-                p.speedup_modeled,
-                p.throughput_tps,
-                p.serial_tps,
-                p.wall_ms,
-                p.identical_to_serial
-            )
-        })
-        .collect();
-    format!("{{\"figure\":\"exec\",\"points\":[{}]}}", points.join(","))
+    Object::new()
+        .string("figure", "exec")
+        .array(
+            "points",
+            sweep.points.iter().map(|p| {
+                Object::new()
+                    .int("partitions", p.partitions)
+                    .int("batch_size", p.batch_size)
+                    .int("txs", p.txs)
+                    .int("makespan_units", p.makespan_units)
+                    .int("serial_units", p.serial_units)
+                    .num("speedup_modeled", p.speedup_modeled, 3)
+                    .num("throughput_tps", p.throughput_tps, 3)
+                    .num("serial_tps", p.serial_tps, 3)
+                    .num("wall_ms", p.wall_ms, 1)
+                    .bool("identical_to_serial", p.identical_to_serial)
+            }),
+        )
+        .finish()
+}
+
+/// Writes `body` to `path`, creating its directory first; on failure prints
+/// the error and exits with status 1. Every file this crate's binaries write
+/// goes through here.
+pub fn write_output(path: &Path, body: &str) {
+    if let Some(dir) = path.parent() {
+        let _ = std::fs::create_dir_all(dir);
+    }
+    if let Err(e) = std::fs::write(path, body) {
+        eprintln!("failed to write {}: {e}", path.display());
+        std::process::exit(1);
+    }
 }
 
 /// Returns the value following `flag` in `args` — the one tiny piece of CLI
@@ -949,34 +826,27 @@ pub fn cli_thread_mode(args: &[String]) -> ThreadMode {
 
 /// Renders the parallel sweep as the `BENCH_parallel.json` document.
 pub fn parallel_to_json(sweep: &ParallelSweep) -> String {
-    let points: Vec<String> = sweep
-        .points
-        .iter()
-        .map(|p| {
-            format!(
-                "{{\"clusters\":{},\"replicas\":{},\"clients\":{},\"committed\":{},\
-                 \"throughput_tps\":{:.3},\"wall_ms_sequential\":{:.1},\
-                 \"wall_ms_parallel\":{:.1},\"speedup\":{:.3},\"identical\":{},\
-                 \"digest\":{}}}",
-                p.clusters,
-                p.replicas,
-                p.clients,
-                p.committed,
-                p.throughput_tps,
-                p.wall_ms_sequential,
-                p.wall_ms_parallel,
-                p.speedup,
-                p.identical,
-                json_string(&p.digest)
-            )
-        })
-        .collect();
-    format!(
-        "{{\"figure\":\"parallel\",\"threads\":{},\"host_cpus\":{},\"points\":[{}]}}",
-        json_string(&sweep.threads),
-        sweep.host_cpus,
-        points.join(",")
-    )
+    Object::new()
+        .string("figure", "parallel")
+        .string("threads", &sweep.threads)
+        .int("host_cpus", sweep.host_cpus)
+        .array(
+            "points",
+            sweep.points.iter().map(|p| {
+                Object::new()
+                    .int("clusters", p.clusters)
+                    .int("replicas", p.replicas)
+                    .int("clients", p.clients)
+                    .int("committed", p.committed)
+                    .num("throughput_tps", p.throughput_tps, 3)
+                    .num("wall_ms_sequential", p.wall_ms_sequential, 1)
+                    .num("wall_ms_parallel", p.wall_ms_parallel, 1)
+                    .num("speedup", p.speedup, 3)
+                    .bool("identical", p.identical)
+                    .string("digest", &p.digest)
+            }),
+        )
+        .finish()
 }
 
 // ---------------------------------------------------------------------------
@@ -1013,17 +883,6 @@ fn reshard_policy() -> ReshardConfig {
         check_interval: Duration::from_millis(200),
         ..ReshardConfig::enabled()
     }
-}
-
-/// The hot-key-drift workload of the reshard figure: 80% of traffic on a
-/// drifting [`RESHARD_SPAN`]-account window with Zipf `s = 1.2` (see
-/// [`HotspotConfig::evaluation`]), zero baseline cross-shard traffic — every
-/// imbalance is the hotspot's.
-fn reshard_workload(client: ClientId) -> WorkloadGenerator {
-    let mut cfg =
-        WorkloadConfig::evaluation(RESHARD_CLUSTERS as u32, 0.0).with_hotspot(reshard_hotspot());
-    cfg.accounts_per_shard = ACCOUNTS_PER_SHARD;
-    WorkloadGenerator::new(client, cfg)
 }
 
 /// One operating point of the reshard figure: the same hot-key-drift
@@ -1089,15 +948,12 @@ pub fn reshard_point(
     threads: ThreadMode,
     duration: SimTime,
 ) -> ReshardPoint {
-    let mut params =
-        SystemParams::new(FailureModel::Crash, RESHARD_CLUSTERS, 1).with_threads(threads);
+    let mut params = figure_params(FailureModel::Crash, RESHARD_CLUSTERS).with_threads(threads);
     if dynamic {
         params = params.with_reshard(reshard_policy());
     }
-    params.accounts_per_shard = ACCOUNTS_PER_SHARD;
-    params.warmup = SimTime::from_millis(300);
-    let mut system = SharperSystem::build(params, clients, reshard_workload);
-    let report = system.run(duration);
+    // No baseline cross-shard traffic: every imbalance is the hotspot's.
+    let report = deployment(params, clients, 0.0, Some(reshard_hotspot())).run(duration);
     ReshardPoint {
         system: if dynamic { "dynamic" } else { "static" }.to_string(),
         clients,
@@ -1117,17 +973,10 @@ pub fn reshard_fairness(
     threads: ThreadMode,
     duration: SimTime,
 ) -> (Vec<FairnessEntry>, f64) {
-    let mut params = SystemParams::new(FailureModel::Crash, RESHARD_CLUSTERS, 1)
+    let params = figure_params(FailureModel::Crash, RESHARD_CLUSTERS)
         .with_threads(threads)
         .with_initiation_policy(InitiationPolicy::AnyInvolvedCluster);
-    params.accounts_per_shard = ACCOUNTS_PER_SHARD;
-    params.warmup = SimTime::from_millis(300);
-    let mut system = SharperSystem::build(params, clients, |client| {
-        let mut cfg = WorkloadConfig::evaluation(RESHARD_CLUSTERS as u32, 1.0);
-        cfg.accounts_per_shard = ACCOUNTS_PER_SHARD;
-        WorkloadGenerator::new(client, cfg)
-    });
-    let report = system.run(duration);
+    let report = deployment(params, clients, 1.0, None).run(duration);
     let fairness: Vec<FairnessEntry> = report
         .completed_by_initiator
         .iter()
@@ -1174,48 +1023,37 @@ pub fn figure_reshard(clients: usize, threads: ThreadMode, duration: SimTime) ->
 
 /// Renders the reshard sweep as the `BENCH_reshard.json` document.
 pub fn reshard_to_json(sweep: &ReshardSweep) -> String {
-    let points: Vec<String> = sweep
-        .points
-        .iter()
-        .map(|p| {
-            format!(
-                "{{\"system\":{},\"clients\":{},\"throughput_tps\":{:.3},\
-                 \"latency_ms\":{:.3},\"committed\":{},\"reshards_applied\":{},\
-                 \"client_redirects\":{}}}",
-                json_string(&p.system),
-                p.clients,
-                p.throughput_tps,
-                p.latency_ms,
-                p.committed,
-                p.reshards_applied,
-                p.client_redirects
-            )
-        })
-        .collect();
-    let fairness: Vec<String> = sweep
-        .fairness
-        .iter()
-        .map(|f| {
-            format!(
-                "{{\"cluster\":{},\"completed\":{}}}",
-                f.cluster, f.completed
-            )
-        })
-        .collect();
-    format!(
-        "{{\"figure\":\"reshard\",\"clusters\":{},\"zipf_s\":{:.2},\"hot_ratio\":{:.2},\
-         \"span\":{},\"drift_every\":{},\"points\":[{}],\"dynamic_speedup\":{:.3},\
-         \"fairness\":[{}],\"fairness_spread\":{:.3}}}",
-        sweep.clusters,
-        sweep.zipf_s,
-        sweep.hot_ratio,
-        sweep.span,
-        sweep.drift_every,
-        points.join(","),
-        sweep.dynamic_speedup,
-        fairness.join(","),
-        sweep.fairness_spread
-    )
+    Object::new()
+        .string("figure", "reshard")
+        .int("clusters", sweep.clusters)
+        .num("zipf_s", sweep.zipf_s, 2)
+        .num("hot_ratio", sweep.hot_ratio, 2)
+        .int("span", sweep.span)
+        .int("drift_every", sweep.drift_every)
+        .array(
+            "points",
+            sweep.points.iter().map(|p| {
+                Object::new()
+                    .string("system", &p.system)
+                    .int("clients", p.clients)
+                    .num("throughput_tps", p.throughput_tps, 3)
+                    .num("latency_ms", p.latency_ms, 3)
+                    .int("committed", p.committed)
+                    .int("reshards_applied", p.reshards_applied)
+                    .int("client_redirects", p.client_redirects)
+            }),
+        )
+        .num("dynamic_speedup", sweep.dynamic_speedup, 3)
+        .array(
+            "fairness",
+            sweep.fairness.iter().map(|f| {
+                Object::new()
+                    .int("cluster", f.cluster)
+                    .int("completed", f.completed)
+            }),
+        )
+        .num("fairness_spread", sweep.fairness_spread, 3)
+        .finish()
 }
 
 /// Renders the fairness table as markdown (appended to the CI step summary).
@@ -1241,7 +1079,7 @@ mod tests {
 
     #[test]
     fn sharper_point_produces_throughput() {
-        let p = sharper_point(FailureModel::Crash, 4, 0.2, 8, QUICK);
+        let p = sharper_point(figure_params(FailureModel::Crash, 4), 0.2, 8, QUICK);
         assert!(p.throughput_tps > 0.0);
         assert!(p.latency_ms > 0.0);
         assert!(p.committed > 0);
@@ -1264,10 +1102,11 @@ mod tests {
         // The headline acceptance claim of the batching layer: one Byzantine
         // cluster under pure intra-shard load, identical seed/topology and
         // offered load, only max_batch_size varies.
-        let unbatched =
-            sharper_point_batched(FailureModel::Byzantine, 1, 0.0, 16, 1, SimTime(1_200_000));
-        let batched =
-            sharper_point_batched(FailureModel::Byzantine, 1, 0.0, 16, 16, SimTime(1_200_000));
+        let point = |batch| {
+            let params = batching_params(FailureModel::Byzantine, 1, batch);
+            sharper_point(params, 0.0, 16, SimTime(1_200_000))
+        };
+        let (unbatched, batched) = (point(1), point(16));
         assert!(
             batched.throughput_tps >= 4.0 * unbatched.throughput_tps,
             "batch=16 {:.0} tps vs batch=1 {:.0} tps",
@@ -1306,7 +1145,7 @@ mod tests {
         // Every exec figure column is modelled, so the gated maximum is
         // exact: the full sweep must land on the committed baseline.
         let baseline = include_str!("../../../bench/baselines/BENCH_baseline.json");
-        let needle = "{\"figure\":\"exec\",\"max_throughput_tps\":";
+        let needle = "\"figure\":\"exec\",\"max_throughput_tps\":";
         let start = baseline.find(needle).expect("exec baseline entry") + needle.len();
         let committed = &baseline[start..start + baseline[start..].find('}').unwrap()];
         let max = figure_exec(0x5EED, false)
@@ -1323,7 +1162,7 @@ mod tests {
         // transactions, four independent clusters outperform a single
         // consensus group by a wide margin. Enough clients are needed to
         // push the single APR-C group into saturation.
-        let sharper = sharper_point(FailureModel::Crash, 4, 0.0, 224, QUICK);
+        let sharper = sharper_point(figure_params(FailureModel::Crash, 4), 0.0, 224, QUICK);
         let apr = baseline_point(BaselineKind::AprC, 0.0, 224, QUICK);
         assert!(
             sharper.throughput_tps > 1.5 * apr.throughput_tps,

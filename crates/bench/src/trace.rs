@@ -11,6 +11,7 @@
 //! stream is bit-identical across threading modes, everything derived here —
 //! the phase percentiles and the invariant verdicts — is too.
 
+use crate::json::Object;
 use sharper_common::{percentile_us, SimTime, TraceEvent, TraceKind, TxId};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -111,6 +112,7 @@ impl PhaseBreakdown {
 
 /// Per-transaction / per-batch indexes over one trace, shared by the phase
 /// breakdown and the invariant checks.
+#[derive(Default)]
 struct TraceIndex {
     /// First `client_submit` per transaction.
     submit: BTreeMap<TxId, SimTime>,
@@ -132,28 +134,13 @@ struct TraceIndex {
     /// Batches with at least one `accept` / `xaccept` event.
     accepted: BTreeSet<u64>,
     xaccepted: BTreeSet<u64>,
-    /// Batches executed somewhere, and the transactions they carried.
-    executed: BTreeSet<u64>,
+    /// Transactions executed somewhere.
     executed_tx: BTreeSet<TxId>,
 }
 
 impl TraceIndex {
     fn build(events: &[TraceEvent]) -> Self {
-        let mut ix = TraceIndex {
-            submit: BTreeMap::new(),
-            complete: BTreeMap::new(),
-            replied: BTreeSet::new(),
-            seal: BTreeMap::new(),
-            seal_of_tx: BTreeMap::new(),
-            commit: BTreeMap::new(),
-            xcommit: BTreeMap::new(),
-            proposed: BTreeSet::new(),
-            xproposed: BTreeSet::new(),
-            accepted: BTreeSet::new(),
-            xaccepted: BTreeSet::new(),
-            executed: BTreeSet::new(),
-            executed_tx: BTreeSet::new(),
-        };
+        let mut ix = TraceIndex::default();
         for e in events {
             match &e.kind {
                 TraceKind::ClientSubmit { tx } => {
@@ -192,8 +179,7 @@ impl TraceIndex {
                 TraceKind::XCommit { batch } => {
                     ix.xcommit.entry(*batch).or_insert(e.at);
                 }
-                TraceKind::Execute { batch, txs, .. } => {
-                    ix.executed.insert(*batch);
+                TraceKind::Execute { txs, .. } => {
                     ix.executed_tx.extend(txs.iter().copied());
                 }
                 _ => {}
@@ -417,44 +403,37 @@ pub fn check_invariants(events: &[TraceEvent]) -> Vec<String> {
 /// document: per-phase count/mean/percentiles plus flamegraph-style folded
 /// frames (`tx;<phase>` with the total simulated microseconds spent there).
 pub fn phases_to_json(scenarios: &[(String, PhaseBreakdown)]) -> String {
-    let rendered: Vec<String> = scenarios
-        .iter()
-        .map(|(name, b)| {
-            let phases: Vec<String> = b
-                .phases()
-                .iter()
-                .map(|(phase, s)| {
-                    format!(
-                        "{{\"phase\":\"{phase}\",\"count\":{},\"mean_ms\":{:.3},\
-                         \"p50_ms\":{:.3},\"p95_ms\":{:.3}}}",
-                        s.count(),
-                        s.mean_ms(),
-                        s.percentile_ms(50),
-                        s.percentile_ms(95)
+    Object::new()
+        .string("figure", "phases")
+        .array(
+            "scenarios",
+            scenarios.iter().map(|(name, b)| {
+                Object::new()
+                    .string("scenario", name)
+                    .int("events", b.events)
+                    .int("completed", b.completed)
+                    .array(
+                        "phases",
+                        b.phases().iter().map(|(phase, s)| {
+                            Object::new()
+                                .string("phase", phase)
+                                .int("count", s.count())
+                                .num("mean_ms", s.mean_ms(), 3)
+                                .num("p50_ms", s.percentile_ms(50), 3)
+                                .num("p95_ms", s.percentile_ms(95), 3)
+                        }),
                     )
-                })
-                .collect();
-            let frames: Vec<String> = b
-                .phases()
-                .iter()
-                .map(|(phase, s)| {
-                    format!("{{\"name\":\"tx;{phase}\",\"value_us\":{}}}", s.total_us())
-                })
-                .collect();
-            format!(
-                "{{\"scenario\":\"{name}\",\"events\":{},\"completed\":{},\
-                 \"phases\":[{}],\"frames\":[{}]}}",
-                b.events,
-                b.completed,
-                phases.join(","),
-                frames.join(",")
-            )
-        })
-        .collect();
-    format!(
-        "{{\"figure\":\"phases\",\"scenarios\":[{}]}}",
-        rendered.join(",")
-    )
+                    .array(
+                        "frames",
+                        b.phases().iter().map(|(phase, s)| {
+                            Object::new()
+                                .string("name", &format!("tx;{phase}"))
+                                .int("value_us", s.total_us())
+                        }),
+                    )
+            }),
+        )
+        .finish()
 }
 
 #[cfg(test)]
@@ -630,12 +609,218 @@ mod tests {
         assert!(v.iter().any(|m| m.contains("canonical order")), "{v:?}");
     }
 
+    /// Pins the exact bytes of every `BENCH_*.json` document the harness
+    /// writes: one fixed record per document, rendered and compared against
+    /// a literal. Values exercise rounding at each fixed precision and every
+    /// string escape, so any drift in layout, key order, separators,
+    /// decimal places or escaping fails here before it reaches a baseline.
     #[test]
-    fn phases_json_is_stable() {
-        let json = phases_to_json(&[("clean".to_string(), analyze(&well_formed()))]);
-        assert!(json.starts_with("{\"figure\":\"phases\""));
-        assert!(json.contains("\"scenario\":\"clean\""));
-        assert!(json.contains("\"phase\":\"consensus_intra\""));
-        assert!(json.contains("\"name\":\"tx;submit_to_seal\""));
+    fn bench_documents_are_byte_stable() {
+        use crate::{
+            batching_to_json, exec_to_json, fig8xl_to_json, figure_to_json, parallel_to_json,
+            reshard_to_json, BatchPoint, BatchSeries, CurvePoint, ExecPoint, ExecSweep,
+            FairnessEntry, Fig8xlPoint, Fig8xlSweep, ParallelPoint, ParallelSweep, ReshardPoint,
+            ReshardSweep, Series,
+        };
+
+        let curve = CurvePoint {
+            clients: 8,
+            throughput_tps: 1234.56789,
+            latency_ms: 0.0005,
+            committed: 42,
+            mempool_peak_depth: 3,
+            mempool_wait_p95_us: 1_500,
+            phase_consensus_ms: 1.0,
+            phase_cross_ms: 2.2505,
+            phase_exec_ms: 0.0,
+        };
+        let figure = figure_to_json(
+            "fig6a",
+            &[
+                Series {
+                    system: "Shar\"Per\"\\\n\r\t\u{1}é".to_string(),
+                    points: vec![curve],
+                },
+                Series {
+                    system: "AHL-C".to_string(),
+                    points: vec![],
+                },
+            ],
+        );
+        let batching = batching_to_json(&[BatchSeries {
+            system: "SharPer byzantine 0% cross-shard".to_string(),
+            points: vec![
+                BatchPoint {
+                    batch_size: 1,
+                    clients: 32,
+                    throughput_tps: 999.9996,
+                    latency_ms: 31.25,
+                    committed: 1_999,
+                },
+                BatchPoint {
+                    batch_size: 16,
+                    clients: 32,
+                    throughput_tps: 8_000.0,
+                    latency_ms: 4.0004,
+                    committed: 16_000,
+                },
+            ],
+            speedup_vs_unbatched: 8.0004,
+        }]);
+        let fig8xl = fig8xl_to_json(&Fig8xlSweep {
+            threads: "per-cluster".to_string(),
+            host_cpus: 2,
+            max_throughput_tps: 92_082.123_456,
+            points: vec![Fig8xlPoint {
+                clusters: 128,
+                replicas: 384,
+                clients: 102_400,
+                committed: 64_457,
+                throughput_tps: 92_082.123_456,
+                latency_ms: 1_100.5,
+                retained_blocks: 24_576,
+                logical_blocks: 98_304,
+                checkpoint_interval: 32,
+                retain_blocks: 64,
+                peak_rss_mb: 2_456.75,
+                wall_ms: 61_234.56,
+            }],
+        });
+        let exec = exec_to_json(&ExecSweep {
+            points: vec![ExecPoint {
+                partitions: 4,
+                batch_size: 16,
+                txs: 512,
+                makespan_units: 1_024,
+                serial_units: 2_048,
+                speedup_modeled: 2.0,
+                throughput_tps: 550_834.062_5,
+                serial_tps: 166_666.666_666,
+                wall_ms: 1.25,
+                identical_to_serial: false,
+            }],
+        });
+        let parallel = parallel_to_json(&ParallelSweep {
+            threads: "per-cluster".to_string(),
+            host_cpus: 2,
+            points: vec![ParallelPoint {
+                clusters: 8,
+                replicas: 24,
+                clients: 64,
+                committed: 1_014,
+                throughput_tps: 507.0,
+                wall_ms_sequential: 812.34,
+                wall_ms_parallel: 406.17,
+                speedup: 2.0,
+                identical: true,
+                digest: "00ff\"ab".to_string(),
+            }],
+        });
+        let reshard = reshard_to_json(&ReshardSweep {
+            clusters: 3,
+            zipf_s: 1.2,
+            hot_ratio: 0.8,
+            span: 400,
+            drift_every: 300,
+            points: vec![ReshardPoint {
+                system: "dynamic".to_string(),
+                clients: 256,
+                throughput_tps: 37_745.5,
+                latency_ms: 6.789,
+                committed: 100_000,
+                reshards_applied: 12,
+                client_redirects: 345,
+            }],
+            dynamic_speedup: 1.5432,
+            fairness: vec![FairnessEntry {
+                cluster: 1,
+                completed: 60,
+            }],
+            fairness_spread: 1.0909,
+        });
+        let phases = phases_to_json(&[("loss+crash".to_string(), analyze(&well_formed()))]);
+
+        let cases = [
+            (
+                "figure",
+                figure,
+                concat!(
+                    r#"{"figure":"fig6a","series":[{"system":"Shar\"Per\"\\\n\r\t\u0001é","#,
+                    r#""points":[{"clients":8,"throughput_tps":1234.568,"latency_ms":0.001,"committed":42,"#,
+                    r#""mempool_peak_depth":3,"mempool_wait_p95_us":1500,"phase_consensus_ms":1.000,"#,
+                    r#""phase_cross_ms":2.251,"phase_exec_ms":0.000}]},{"system":"AHL-C","points":[]}]}"#,
+                ),
+            ),
+            (
+                "batching",
+                batching,
+                concat!(
+                    r#"{"figure":"batching","series":[{"system":"SharPer byzantine 0% cross-shard","#,
+                    r#""points":[{"batch_size":1,"clients":32,"throughput_tps":1000.000,"latency_ms":31.250,"#,
+                    r#""committed":1999},{"batch_size":16,"clients":32,"throughput_tps":8000.000,"#,
+                    r#""latency_ms":4.000,"committed":16000}],"speedup_vs_unbatched":8.000}]}"#,
+                ),
+            ),
+            (
+                "fig8xl",
+                fig8xl,
+                concat!(
+                    r#"{"figure":"fig8xl","threads":"per-cluster","host_cpus":2,"#,
+                    r#""max_throughput_tps":92082.123,"points":[{"clusters":128,"replicas":384,"#,
+                    r#""clients":102400,"committed":64457,"throughput_tps":92082.123,"latency_ms":1100.500,"#,
+                    r#""retained_blocks":24576,"logical_blocks":98304,"checkpoint_interval":32,"#,
+                    r#""retain_blocks":64,"peak_rss_mb":2456.8,"wall_ms":61234.6}]}"#,
+                ),
+            ),
+            (
+                "exec",
+                exec,
+                concat!(
+                    r#"{"figure":"exec","points":[{"partitions":4,"batch_size":16,"txs":512,"#,
+                    r#""makespan_units":1024,"serial_units":2048,"speedup_modeled":2.000,"#,
+                    r#""throughput_tps":550834.062,"serial_tps":166666.667,"wall_ms":1.2,"#,
+                    r#""identical_to_serial":false}]}"#,
+                ),
+            ),
+            (
+                "parallel",
+                parallel,
+                concat!(
+                    r#"{"figure":"parallel","threads":"per-cluster","host_cpus":2,"points":[{"clusters":8,"#,
+                    r#""replicas":24,"clients":64,"committed":1014,"throughput_tps":507.000,"#,
+                    r#""wall_ms_sequential":812.3,"wall_ms_parallel":406.2,"speedup":2.000,"identical":true,"#,
+                    r#""digest":"00ff\"ab"}]}"#,
+                ),
+            ),
+            (
+                "reshard",
+                reshard,
+                concat!(
+                    r#"{"figure":"reshard","clusters":3,"zipf_s":1.20,"hot_ratio":0.80,"span":400,"#,
+                    r#""drift_every":300,"points":[{"system":"dynamic","clients":256,"#,
+                    r#""throughput_tps":37745.500,"latency_ms":6.789,"committed":100000,"#,
+                    r#""reshards_applied":12,"client_redirects":345}],"dynamic_speedup":1.543,"#,
+                    r#""fairness":[{"cluster":1,"completed":60}],"fairness_spread":1.091}"#,
+                ),
+            ),
+            (
+                "phases",
+                phases,
+                concat!(
+                    r#"{"figure":"phases","scenarios":[{"scenario":"loss+crash","events":12,"completed":1,"#,
+                    r#""phases":[{"phase":"submit_to_seal","count":1,"mean_ms":0.200,"p50_ms":0.200,"#,
+                    r#""p95_ms":0.200},{"phase":"consensus_intra","count":1,"mean_ms":0.200,"p50_ms":0.200,"#,
+                    r#""p95_ms":0.200},{"phase":"consensus_cross","count":0,"mean_ms":0.000,"p50_ms":0.000,"#,
+                    r#""p95_ms":0.000},{"phase":"commit_to_complete","count":1,"mean_ms":0.200,"#,
+                    r#""p50_ms":0.200,"p95_ms":0.200}],"frames":[{"name":"tx;submit_to_seal","#,
+                    r#""value_us":200},{"name":"tx;consensus_intra","value_us":200},"#,
+                    r#"{"name":"tx;consensus_cross","value_us":0},{"name":"tx;commit_to_complete","#,
+                    r#""value_us":200}]}]}"#,
+                ),
+            ),
+        ];
+        for (name, rendered, expected) in cases {
+            assert_eq!(rendered, expected, "BENCH_{name}.json layout drifted");
+        }
     }
 }

@@ -1,7 +1,8 @@
 //! # sharper-net
 //!
 //! The deterministic discrete-event network simulator that replaces the
-//! paper's AWS testbed (see DESIGN.md, "Substitutions").
+//! paper's AWS testbed (see README, "Design note: single-server FIFO actors"
+//! and "Design note: conservative parallel simulation").
 //!
 //! The simulator executes a set of [`Actor`]s — replicas and clients — that
 //! communicate only through messages and timers. It models:

@@ -1,4 +1,4 @@
-//! Per-transaction read/write sets and batch conflict detection.
+//! Per-transaction read/write sets.
 //!
 //! The executor computes, once per transaction, which of its operation
 //! accounts are local to the shard and whether they are read during
@@ -84,38 +84,16 @@ impl RwSet {
             OpLocality::Reshard { local } => *local,
         })
     }
-
-    /// Whether this transaction conflicts with `other`: some account written
-    /// by one is read or written by the other. Read-read sharing is not a
-    /// conflict. Conflicting transactions must stay in consensus order.
-    pub fn conflicts_with(&self, other: &RwSet) -> bool {
-        let hits = |writes: &[AccountId], reads: &[AccountId], other_writes: &[AccountId]| {
-            writes
-                .iter()
-                .any(|w| reads.contains(w) || other_writes.contains(w))
-        };
-        hits(&self.writes, &other.reads, &other.writes)
-            || hits(&other.writes, &self.reads, &self.writes)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{Executor, Partitioner, Transaction};
-    use sharper_common::{ClientId, ClusterId, TxId};
+    use sharper_common::{ClientId, ClusterId};
 
     fn exec() -> Executor {
         Executor::new(ClusterId(0), Partitioner::range(4, 100))
-    }
-
-    fn read_tx(seq: u64, account: u64) -> Transaction {
-        Transaction::new(
-            TxId::new(ClientId(1), seq),
-            vec![crate::Operation::Read {
-                account: sharper_common::AccountId(account),
-            }],
-        )
     }
 
     #[test]
@@ -169,50 +147,5 @@ mod tests {
             10,
         );
         assert!(!e.rw_set(&tx).any_local());
-    }
-
-    #[test]
-    fn read_read_is_not_a_conflict() {
-        let e = exec();
-        let a = e.rw_set(&read_tx(0, 5));
-        let b = e.rw_set(&read_tx(1, 5));
-        assert!(!a.conflicts_with(&b));
-        assert!(!b.conflicts_with(&a));
-    }
-
-    #[test]
-    fn write_write_and_read_write_conflict() {
-        let e = exec();
-        let t1 = e.rw_set(&Transaction::transfer(
-            ClientId(1),
-            0,
-            sharper_common::AccountId(1),
-            sharper_common::AccountId(2),
-            10,
-        ));
-        let t2 = e.rw_set(&Transaction::transfer(
-            ClientId(2),
-            0,
-            sharper_common::AccountId(3),
-            sharper_common::AccountId(2),
-            10,
-        ));
-        // Both credit account 2: write-write conflict.
-        assert!(t1.conflicts_with(&t2));
-
-        // t3 reads account 2 (balance read) while t1 writes it.
-        let t3 = e.rw_set(&read_tx(1, 2));
-        assert!(t1.conflicts_with(&t3));
-        assert!(t3.conflicts_with(&t1));
-
-        // Disjoint accounts: no conflict.
-        let t4 = e.rw_set(&Transaction::transfer(
-            ClientId(3),
-            0,
-            sharper_common::AccountId(40),
-            sharper_common::AccountId(41),
-            10,
-        ));
-        assert!(!t1.conflicts_with(&t4));
     }
 }
