@@ -201,6 +201,7 @@ impl BaselineSystem {
         let mut topology = Topology::default();
         let mut actors: Vec<BaselineActor> = Vec::new();
         let mut route = RouteTable {
+            partitioner: workload_partitioner.clone(),
             cluster_primaries: BTreeMap::new(),
             reference_committee: None,
             fast_multicast: None,
@@ -352,7 +353,6 @@ impl BaselineSystem {
             topology.add_client(client, ClusterId((c % params.clusters.max(1)) as u32));
             actors.push(BaselineActor::Client(BaselineClient::new(
                 client,
-                workload_partitioner.clone(),
                 route.clone(),
                 required_replies,
                 workload_for(client),

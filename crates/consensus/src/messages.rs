@@ -26,10 +26,8 @@ pub mod timer_tags {
     pub const RETRY: u64 = 2;
     /// The view-change timer armed by backups while a request is in flight.
     pub const VIEW_CHANGE: u64 = 3;
-    /// Client-side submission pacing timer (used by workload clients).
-    pub const CLIENT_SUBMIT: u64 = 4;
-    /// Client-side retransmission timer.
-    pub const CLIENT_RETRY: u64 = 5;
+    /// Client-side retransmission timer (armed by the shared client driver).
+    pub const CLIENT_RETRY: u64 = sharper_net::client::RETRY_TAG;
     /// The primary's batch timer: a partially filled batch is proposed when
     /// it fires.
     pub const BATCH: u64 = 6;
@@ -698,7 +696,6 @@ mod tests {
             CONFLICT,
             RETRY,
             VIEW_CHANGE,
-            CLIENT_SUBMIT,
             CLIENT_RETRY,
             BATCH,
             XABORT_RETRANSMIT,

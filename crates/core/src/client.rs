@@ -3,31 +3,27 @@
 //! The paper's evaluation uses "an increasing number of clients ... until the
 //! end-to-end throughput is saturated" (§4). Each client keeps a configurable
 //! window of requests outstanding (`max_in_flight`, 1 by default — the
-//! paper's one-outstanding-request client): it submits transactions to the
-//! primary of the responsible cluster until the window is full, records the
-//! end-to-end latency of each reply quorum and refills the window. A window
-//! larger than 1 is what lets the primary's batching layer fill blocks.
-//! Requests that receive no reply within the retransmission timeout are
-//! resubmitted (this is what provides liveness across primary failures
-//! together with the view change).
+//! paper's one-outstanding-request client) through the shared
+//! [`ClosedLoop`] driver, which also records each reply quorum's end-to-end
+//! latency and retransmits requests that see no quorum in time (this is what
+//! provides liveness across primary failures together with the view change).
+//! A window larger than 1 is what lets the primary's batching layer fill
+//! blocks. This module adds what is specific to SharPer: routing to the
+//! initiator cluster's primary, client signatures, shard-map redirects, the
+//! per-initiator fairness table and the trace events.
 
-use sharper_common::{ClientId, ClusterId, Duration, NodeId, TraceKind, TxId};
+use sharper_common::{ClientId, ClusterId, TraceKind};
 use sharper_consensus::replica::client_signer_id;
-use sharper_consensus::{timer_tags, Msg, ReplicaConfig};
+use sharper_consensus::{Msg, ReplicaConfig};
 use sharper_crypto::Signature;
-use sharper_net::{Actor, ActorId, CommitSample, Context, StatsHandle, TimerId};
+use sharper_net::{Actor, ActorId, ClosedLoop, Context, StatsHandle, TimerId};
 use sharper_state::{Partitioner, Transaction};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Client behaviour parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct ClientParams {
-    /// How long to wait for replies before retransmitting a request.
-    pub retry_timeout: Duration,
-    /// Optional think time between receiving a reply and submitting the next
-    /// request (zero for the saturation experiments).
-    pub think_time: Duration,
     /// How many requests the client keeps in flight. `1` is the paper's
     /// closed-loop client; larger windows feed the primary's batching layer.
     pub max_in_flight: usize,
@@ -35,11 +31,7 @@ pub struct ClientParams {
 
 impl Default for ClientParams {
     fn default() -> Self {
-        Self {
-            retry_timeout: Duration::from_millis(2_000),
-            think_time: Duration::ZERO,
-            max_in_flight: 1,
-        }
+        Self { max_in_flight: 1 }
     }
 }
 
@@ -51,109 +43,26 @@ impl ClientParams {
     }
 }
 
-/// State of one request currently outstanding at the client.
-#[derive(Debug)]
-struct Outstanding {
-    /// The submitted transaction, shared with the request message so
-    /// retransmissions are pointer bumps.
-    tx: Arc<Transaction>,
-    cross_shard: bool,
-    /// The initiator cluster the request was routed to (under the client's
-    /// map at submission time) — feeds the per-initiator fairness table.
-    initiator: ClusterId,
-    submitted_at: sharper_common::SimTime,
-    replies: HashSet<NodeId>,
-    retry_timer: TimerId,
-}
-
-/// A closed-loop client actor with a configurable pipeline depth.
-pub struct ClientActor {
+/// What a client routes and signs requests with: its identity, the
+/// deployment's configuration and its current view of the shard map.
+struct Router {
     id: ClientId,
     cfg: Arc<ReplicaConfig>,
-    params: ClientParams,
-    /// The transactions this client will submit, in order.
-    script: Box<dyn Iterator<Item = Transaction> + Send>,
-    /// In-flight requests keyed by transaction id (BTreeMap for
-    /// deterministic iteration).
-    outstanding: BTreeMap<TxId, Outstanding>,
-    script_exhausted: bool,
-    stats: StatsHandle,
-    completed: usize,
-    retransmissions: usize,
-    /// The client's current view of the shard map. Starts at the genesis
-    /// map (epoch 0) and advances when a replica answers with a
-    /// [`Msg::Redirect`] carrying a newer epoch's overlays.
+    /// Starts at the genesis map (epoch 0) and advances when a replica
+    /// answers with a [`Msg::Redirect`] carrying a newer epoch's overlays.
     pmap: Partitioner,
     map_epoch: u64,
-    redirects: usize,
-    /// Commits per initiator cluster (the cluster the request was routed
-    /// to), for the cross-shard fairness gate.
-    completed_by_initiator: BTreeMap<ClusterId, usize>,
 }
 
-impl ClientActor {
-    /// Creates a client that will submit the transactions yielded by
-    /// `script`, keeping up to `params.max_in_flight` of them outstanding.
-    pub fn new(
-        id: ClientId,
-        cfg: Arc<ReplicaConfig>,
-        params: ClientParams,
-        script: impl Iterator<Item = Transaction> + Send + 'static,
-        stats: StatsHandle,
-    ) -> Self {
-        let pmap = cfg.partitioner.clone();
-        Self {
-            id,
-            cfg,
-            params,
-            script: Box::new(script),
-            outstanding: BTreeMap::new(),
-            script_exhausted: false,
-            stats,
-            completed: 0,
-            retransmissions: 0,
-            pmap,
-            map_epoch: 0,
-            redirects: 0,
-            completed_by_initiator: BTreeMap::new(),
-        }
-    }
-
-    /// Number of transactions this client has seen through to commit.
-    pub fn completed(&self) -> usize {
-        self.completed
-    }
-
-    /// Number of retransmissions this client performed.
-    pub fn retransmissions(&self) -> usize {
-        self.retransmissions
-    }
-
-    /// Number of shard-map redirects this client received. Redirects are
-    /// advisory (the stale request is still processed), so they count
-    /// neither as retransmissions nor against the in-flight window.
-    pub fn redirects(&self) -> usize {
-        self.redirects
-    }
-
-    /// The shard-map epoch this client currently routes under.
-    pub fn map_epoch(&self) -> u64 {
-        self.map_epoch
-    }
-
-    /// Commits broken down by the initiator cluster each request was routed
-    /// to (the cross-shard fairness table's raw data).
-    pub fn completed_by_initiator(&self) -> &BTreeMap<ClusterId, usize> {
-        &self.completed_by_initiator
-    }
-
+impl Router {
     /// The replies a client must collect before accepting the result: one in
     /// the crash model, `f+1` matching replies in the Byzantine model (§3.1).
-    fn required_replies(&self, involved: &[ClusterId]) -> usize {
+    fn required_replies(&self, tx: &Transaction) -> usize {
         if !self.cfg.system.failure_model.requires_signatures() {
             return 1;
         }
-        let f = involved
+        let f = tx
+            .involved_clusters(&self.pmap)
             .iter()
             .filter_map(|c| self.cfg.system.cluster(*c).ok())
             .map(|c| c.f)
@@ -174,10 +83,11 @@ impl ClientActor {
         }
     }
 
-    /// The replica a request should be sent to: the primary of the initiator
-    /// cluster (super-primary policy for cross-shard transactions), under the
-    /// client's current view of the shard map.
-    fn target_of(&self, tx: &Transaction) -> (ClusterId, NodeId) {
+    /// Sends a signed request to the primary of the initiator cluster
+    /// (super-primary policy for cross-shard transactions) under the
+    /// client's current map, and returns whether the transaction is
+    /// cross-shard and the initiator it was routed to.
+    fn send(&self, tx: &Arc<Transaction>, ctx: &mut Context<Msg>) -> (bool, ClusterId) {
         let involved = tx.involved_clusters(&self.pmap);
         // Under the any-involved-cluster policy the client nominates the
         // home shard of the transaction's first account (the debited one) as
@@ -188,62 +98,102 @@ impl ClientActor {
             .operations
             .first()
             .and_then(|op| op.accounts().first().map(|a| self.pmap.shard_of(*a)));
-        let cluster = self
+        let initiator = self
             .cfg
             .system
             .initiator_cluster(&involved, hint)
             .expect("transaction touches known clusters");
-        let node = self.cfg.system.primary(cluster, 0).expect("cluster exists");
-        (cluster, node)
+        let primary = self
+            .cfg
+            .system
+            .primary(initiator, 0)
+            .expect("cluster exists");
+        let request = Msg::Request {
+            tx: Arc::clone(tx),
+            epoch: self.map_epoch,
+            sig: self.sign(tx),
+        };
+        ctx.send(ActorId::Node(primary), request);
+        (involved.len() > 1, initiator)
+    }
+}
+
+/// A closed-loop client actor with a configurable pipeline depth.
+pub struct ClientActor {
+    router: Router,
+    /// The outstanding requests, each tagged with the initiator cluster it
+    /// was last routed to.
+    requests: ClosedLoop<Transaction, ClusterId>,
+    redirects: usize,
+    /// Commits per initiator cluster (the cluster the request was routed
+    /// to), for the cross-shard fairness gate.
+    completed_by_initiator: BTreeMap<ClusterId, usize>,
+}
+
+impl ClientActor {
+    /// Creates a client that will submit the transactions yielded by
+    /// `script`, keeping up to `params.max_in_flight` of them outstanding.
+    pub fn new(
+        id: ClientId,
+        cfg: Arc<ReplicaConfig>,
+        params: ClientParams,
+        script: impl Iterator<Item = Transaction> + Send + 'static,
+        stats: StatsHandle,
+    ) -> Self {
+        Self {
+            router: Router {
+                id,
+                pmap: cfg.partitioner.clone(),
+                map_epoch: 0,
+                cfg,
+            },
+            requests: ClosedLoop::new(script, |tx| tx.id, params.max_in_flight, stats),
+            redirects: 0,
+            completed_by_initiator: BTreeMap::new(),
+        }
     }
 
-    /// Submits the next scripted transaction, if any.
-    fn submit_next(&mut self, ctx: &mut Context<Msg>) {
-        let Some(tx) = self.script.next() else {
-            self.script_exhausted = true;
-            return;
-        };
-        let tx = Arc::new(tx);
-        let involved = tx.involved_clusters(&self.pmap);
-        let cross_shard = involved.len() > 1;
-        let (initiator, target) = self.target_of(&tx);
-        let sig = self.sign(&tx);
-        ctx.charge(self.cfg.cost.client());
-        self.stats.record_submission();
-        ctx.trace(|| TraceKind::ClientSubmit { tx: tx.id });
-        let retry_timer = ctx.set_timer(self.params.retry_timeout, timer_tags::CLIENT_RETRY);
-        self.outstanding.insert(
-            tx.id,
-            Outstanding {
-                tx: Arc::clone(&tx),
-                cross_shard,
-                initiator,
-                submitted_at: ctx.now(),
-                replies: HashSet::new(),
-                retry_timer,
-            },
-        );
-        ctx.send(
-            ActorId::Node(target),
-            Msg::Request {
-                tx,
-                epoch: self.map_epoch,
-                sig,
-            },
-        );
+    /// Number of transactions this client has seen through to commit.
+    pub fn completed(&self) -> usize {
+        self.requests.completed()
+    }
+
+    /// Number of retransmissions this client performed.
+    pub fn retransmissions(&self) -> usize {
+        self.requests.retransmissions()
+    }
+
+    /// Number of shard-map redirects this client received. Redirects are
+    /// advisory (the stale request is still processed), so they count
+    /// neither as retransmissions nor against the in-flight window.
+    pub fn redirects(&self) -> usize {
+        self.redirects
+    }
+
+    /// The shard-map epoch this client currently routes under.
+    pub fn map_epoch(&self) -> u64 {
+        self.router.map_epoch
+    }
+
+    /// Commits broken down by the initiator cluster each request was routed
+    /// to (the cross-shard fairness table's raw data).
+    pub fn completed_by_initiator(&self) -> &BTreeMap<ClusterId, usize> {
+        &self.completed_by_initiator
     }
 
     /// Refills the in-flight window up to `max_in_flight`.
     fn fill_window(&mut self, ctx: &mut Context<Msg>) {
-        while !self.script_exhausted && self.outstanding.len() < self.params.max_in_flight.max(1) {
-            self.submit_next(ctx);
-        }
+        self.requests.fill_window(ctx, |tx, ctx| {
+            ctx.charge(self.router.cfg.cost.client());
+            ctx.trace(|| TraceKind::ClientSubmit { tx: tx.id });
+            self.router.send(tx, ctx)
+        });
     }
 }
 
 impl Actor<Msg> for ClientActor {
     fn id(&self) -> ActorId {
-        ActorId::Client(self.id)
+        ActorId::Client(self.router.id)
     }
 
     fn on_start(&mut self, ctx: &mut Context<Msg>) {
@@ -251,120 +201,60 @@ impl Actor<Msg> for ClientActor {
     }
 
     fn on_message(&mut self, _from: ActorId, msg: Msg, ctx: &mut Context<Msg>) {
-        // A replica that saw this client route under a stale shard map sends
-        // back the current map. The redirect is purely advisory — the stale
-        // request was still forwarded and will complete normally — so the
-        // outstanding entry, its retry timer and the in-flight window are
-        // all left untouched; the new map only changes FUTURE routing. (An
-        // earlier draft resubmitted here, which double-charged the window:
-        // a redirected request burned a retransmission and, combined with
-        // XStatus probes, could wedge a full window behind redirects.)
-        if let Msg::Redirect {
-            epoch, overlays, ..
-        } = &msg
-        {
-            ctx.charge(self.cfg.cost.client());
-            if *epoch > self.map_epoch {
-                self.pmap.install_overlays(overlays.clone());
-                self.map_epoch = *epoch;
+        match msg {
+            // A replica that saw this client route under a stale shard map
+            // sends back the current map. The redirect is purely advisory —
+            // the stale request was still forwarded and will complete
+            // normally — so the outstanding entry, its retry timer and the
+            // in-flight window are all left untouched; the new map only
+            // changes FUTURE routing. Resubmitting here would charge the
+            // window twice and could wedge a full window behind redirects.
+            Msg::Redirect {
+                epoch, overlays, ..
+            } => {
+                ctx.charge(self.router.cfg.cost.client());
+                if epoch > self.router.map_epoch {
+                    self.router.pmap.install_overlays(overlays);
+                    self.router.map_epoch = epoch;
+                }
+                self.redirects += 1;
             }
-            self.redirects += 1;
-            return;
-        }
-        let Msg::Reply { tx, node, .. } = msg else {
-            return;
-        };
-        ctx.charge(self.cfg.cost.client());
-        let Some(outstanding) = self.outstanding.get_mut(&tx) else {
-            return;
-        };
-        outstanding.replies.insert(node);
-        let involved = outstanding.tx.involved_clusters(&self.pmap);
-        if outstanding.replies.len() < self.required_replies(&involved) {
-            return;
-        }
-        // Committed: record the latency sample and move on.
-        let outstanding = self.outstanding.remove(&tx).expect("checked above");
-        ctx.cancel_timer(outstanding.retry_timer);
-        self.completed += 1;
-        *self
-            .completed_by_initiator
-            .entry(outstanding.initiator)
-            .or_default() += 1;
-        ctx.trace(|| TraceKind::ClientComplete {
-            tx,
-            cross: outstanding.cross_shard,
-        });
-        self.stats.record_commit(CommitSample {
-            tx,
-            submitted_at: outstanding.submitted_at,
-            committed_at: ctx.now(),
-            cross_shard: outstanding.cross_shard,
-        });
-        if self.params.think_time == Duration::ZERO {
-            self.fill_window(ctx);
-        } else {
-            ctx.set_timer(self.params.think_time, timer_tags::CLIENT_SUBMIT);
-        }
-    }
-
-    fn on_timer(&mut self, timer: TimerId, tag: u64, ctx: &mut Context<Msg>) {
-        match tag {
-            // Each completion schedules its own think-time timer, so each
-            // firing replaces exactly the one slot whose think time elapsed
-            // (refilling the whole window here would cut short the think
-            // time of completions whose timers are still pending).
-            timer_tags::CLIENT_SUBMIT
-                if self.outstanding.len() < self.params.max_in_flight.max(1) =>
-            {
-                self.submit_next(ctx)
-            }
-            timer_tags::CLIENT_RETRY => {
-                let Some((&id, _)) = self
-                    .outstanding
-                    .iter()
-                    .find(|(_, o)| o.retry_timer == timer)
-                else {
+            Msg::Reply { tx, node, .. } => {
+                ctx.charge(self.router.cfg.cost.client());
+                let quorum = |tx: &Transaction| self.router.required_replies(tx);
+                let Some(done) = self.requests.on_reply(tx, node, quorum, ctx) else {
                     return;
                 };
-                // No quorum of replies yet: retransmit to the (possibly new)
-                // primary and arm a fresh timer.
-                self.retransmissions += 1;
-                ctx.trace(|| TraceKind::ClientRetry { tx: id });
-                let outstanding = self.outstanding.get_mut(&id).expect("found above");
-                let tx = Arc::clone(&outstanding.tx);
-                let retry_timer =
-                    ctx.set_timer(self.params.retry_timeout, timer_tags::CLIENT_RETRY);
-                outstanding.retry_timer = retry_timer;
-                // Re-route under the client's CURRENT map: the retransmission
-                // may go to a different initiator than the original if a
-                // redirect advanced the map in the meantime.
-                let (initiator, target) = self.target_of(&tx);
-                self.outstanding
-                    .get_mut(&id)
-                    .expect("found above")
-                    .initiator = initiator;
-                let sig = self.sign(&tx);
-                ctx.send(
-                    ActorId::Node(target),
-                    Msg::Request {
-                        tx,
-                        epoch: self.map_epoch,
-                        sig,
-                    },
-                );
+                *self.completed_by_initiator.entry(done.route).or_default() += 1;
+                ctx.trace(|| TraceKind::ClientComplete {
+                    tx,
+                    cross: done.cross_shard,
+                });
+                self.fill_window(ctx);
             }
             _ => {}
         }
+    }
+
+    fn on_timer(&mut self, timer: TimerId, _tag: u64, ctx: &mut Context<Msg>) {
+        // No quorum of replies yet: retransmit to the (possibly new) primary
+        // under the client's CURRENT map, which may name a different
+        // initiator than the original if a redirect advanced the map.
+        self.requests.on_timer(timer, ctx, |tx, ctx| {
+            ctx.trace(|| TraceKind::ClientRetry { tx: tx.id });
+            self.router.send(tx, ctx)
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sharper_common::{AccountId, CostModel, FailureModel, SimTime, SystemConfig};
+    use sharper_common::{
+        AccountId, CostModel, Duration, FailureModel, NodeId, SimTime, SystemConfig,
+    };
     use sharper_consensus::replica::node_signer_id;
-    use sharper_consensus::TimerConfig;
+    use sharper_consensus::{timer_tags, TimerConfig};
     use sharper_crypto::KeyRegistry;
     use sharper_state::Partitioner;
 

@@ -17,26 +17,26 @@
 //! * **metrics**: committed-transaction latency histograms and per-actor
 //!   message counts ([`stats`]).
 //!
+//! It also carries the closed-loop client driver ([`client::ClosedLoop`])
+//! that SharPer's and the baselines' clients share.
+//!
 //! Everything is driven by a seeded PRNG, so a simulation run is a pure
 //! function of its inputs — the property the protocol tests and the figure
 //! harness rely on.
-//!
-//! The crate also carries a small thread-based [`transport`] hub built on
-//! crossbeam channels. No example runs on it: every example, test and
-//! figure drives its actors inside the simulator.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod actor;
+pub mod client;
 pub mod faults;
 pub mod sim;
 pub mod stats;
 pub mod topology;
-pub mod transport;
 pub mod wheel;
 
 pub use actor::{Actor, ActorId, Context, TimerId};
+pub use client::ClosedLoop;
 pub use faults::FaultPlan;
 pub use sim::{Simulation, SimulationReport};
 pub use stats::{CommitSample, LatencySummary, StatsCollector, StatsHandle};

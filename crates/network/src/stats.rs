@@ -220,8 +220,8 @@ impl StatsCollector {
 
 /// A cheaply clonable, shareable handle to a [`StatsCollector`].
 ///
-/// The simulator is single-threaded, but the handle uses a mutex so the same
-/// types also work under the thread-based transport and inside Criterion.
+/// Clients on different lanes of a parallel simulation share one collector,
+/// so the handle guards it with a mutex.
 #[derive(Debug, Clone, Default)]
 pub struct StatsHandle(Arc<Mutex<StatsCollector>>);
 
