@@ -13,11 +13,11 @@
 //! cost).
 
 use crate::group::{ActorIdWire, BMsg};
-use sharper_common::{ClusterId, CostModel, FailureModel, NodeId};
+use sharper_common::{ClusterId, CostModel, FailureModel, NodeId, TxId};
 use sharper_crypto::Digest;
 use sharper_net::{Actor, ActorId, Context};
 use sharper_state::{Partitioner, Transaction};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 /// Phases of the coordinator's state machine for one cross-shard transaction.
@@ -54,6 +54,12 @@ pub struct RcCoordinator {
     signed: bool,
     queue: VecDeque<(Arc<Transaction>, ActorId)>,
     current: Option<InFlight>,
+    /// Every transaction ever queued: a client retransmission of one that
+    /// is still queued or in flight is dropped, not coordinated twice.
+    admitted: HashSet<TxId>,
+    /// Transactions the committee has committed: a retransmission of one is
+    /// answered with its reply again, without a second 2PC.
+    finished: HashSet<TxId>,
     /// Number of cross-shard transactions fully committed.
     completed: usize,
     /// Largest queue length observed (a bottleneck indicator).
@@ -86,6 +92,8 @@ impl RcCoordinator {
             signed,
             queue: VecDeque::new(),
             current: None,
+            admitted: HashSet::new(),
+            finished: HashSet::new(),
             completed: 0,
             peak_queue: 0,
         }
@@ -146,7 +154,7 @@ impl RcCoordinator {
             Nothing,
             SendClusterRequests(Arc<Transaction>, Vec<ClusterId>),
             StartDecide,
-            Finish(ActorId, sharper_common::TxId),
+            Finish(ActorId, TxId),
         }
         let action = {
             let Some(current) = self.current.as_mut() else {
@@ -212,6 +220,7 @@ impl RcCoordinator {
             Action::Finish(client, tx_id) => {
                 self.current = None;
                 self.completed += 1;
+                self.finished.insert(tx_id);
                 ctx.send(
                     client,
                     BMsg::Reply {
@@ -234,9 +243,17 @@ impl Actor<BMsg> for RcCoordinator {
         self.charge(ctx, 1, 0);
         match msg {
             BMsg::Request { tx, reply_to } => {
-                self.queue.push_back((tx, reply_to.into()));
-                self.peak_queue = self.peak_queue.max(self.queue.len());
-                self.start_next(ctx);
+                if self.finished.contains(&tx.id) {
+                    let reply = BMsg::Reply {
+                        tx: tx.id,
+                        node: self.node,
+                    };
+                    ctx.send(ActorId::from(reply_to), reply);
+                } else if self.admitted.insert(tx.id) {
+                    self.queue.push_back((tx, reply_to.into()));
+                    self.peak_queue = self.peak_queue.max(self.queue.len());
+                    self.start_next(ctx);
+                }
             }
             BMsg::RcAck { phase: _, d, node } => {
                 if let Some(current) = self.current.as_mut() {
@@ -324,4 +341,85 @@ impl Actor<BMsg> for RcMember {
     }
 
     fn on_timer(&mut self, _t: sharper_net::TimerId, _tag: u64, _ctx: &mut Context<BMsg>) {}
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sharper_common::{AccountId, ClientId, SimTime};
+
+    /// A coordinator (node 6) with committee members 7 and 8 over two
+    /// single-node clusters: node 0 serves shard 0, node 3 shard 1.
+    fn coordinator() -> RcCoordinator {
+        RcCoordinator::new(
+            NodeId(6),
+            vec![NodeId(6), NodeId(7), NodeId(8)],
+            2,
+            [(ClusterId(0), NodeId(0)), (ClusterId(1), NodeId(3))].into(),
+            [(NodeId(0), ClusterId(0)), (NodeId(3), ClusterId(1))].into(),
+            Partitioner::range(2, 100),
+            CostModel::default(),
+            FailureModel::Crash,
+        )
+    }
+
+    fn deliver(rc: &mut RcCoordinator, from: ActorId, msg: BMsg) -> Vec<(ActorId, BMsg)> {
+        let mut ctx = Context::detached(SimTime::ZERO, rc.id());
+        rc.on_message(from, msg, &mut ctx);
+        ctx.take_outbox()
+    }
+
+    fn phase_one_steps(out: &[(ActorId, BMsg)]) -> usize {
+        out.iter()
+            .filter(|(_, m)| matches!(m, BMsg::RcStep { phase: 1, .. }))
+            .count()
+    }
+
+    #[test]
+    fn retransmitted_request_runs_one_two_phase_commit() {
+        let mut rc = coordinator();
+        let client = ActorId::Client(ClientId(1));
+        let tx = Arc::new(Transaction::transfer(
+            ClientId(1),
+            0,
+            AccountId(1),
+            AccountId(150),
+            1,
+        ));
+        let d = tx.digest();
+        let request = || BMsg::Request {
+            tx: Arc::clone(&tx),
+            reply_to: ActorIdWire::Client(1),
+        };
+        let mut sent = deliver(&mut rc, client, request());
+        assert_eq!(phase_one_steps(&sent), 2, "one multicast to both members");
+        let retransmit = deliver(&mut rc, client, request());
+        assert!(retransmit.is_empty(), "an in-flight duplicate is dropped");
+
+        // Drive the 2PC to its end: committee prepare, both cluster votes,
+        // committee decision.
+        let ack = |phase, node| BMsg::RcAck {
+            phase,
+            d,
+            node: NodeId(node),
+        };
+        let vote = |node| BMsg::Reply {
+            tx: tx.id,
+            node: NodeId(node),
+        };
+        sent.extend(deliver(&mut rc, ActorId::Node(NodeId(7)), ack(1, 7)));
+        sent.extend(deliver(&mut rc, ActorId::Node(NodeId(0)), vote(0)));
+        sent.extend(deliver(&mut rc, ActorId::Node(NodeId(3)), vote(3)));
+        sent.extend(deliver(&mut rc, ActorId::Node(NodeId(7)), ack(2, 7)));
+        assert!(sent.iter().any(|(to, _)| *to == client));
+        assert_eq!(phase_one_steps(&sent), 2, "no second 2PC starts");
+
+        // A retransmission after the commit is answered, not re-run.
+        let late = deliver(&mut rc, client, request());
+        assert!(matches!(
+            late.as_slice(),
+            [(to, BMsg::Reply { tx: id, node: NodeId(6) })] if *to == client && *id == tx.id
+        ));
+        assert_eq!(rc.completed(), 1);
+    }
 }

@@ -18,7 +18,9 @@ use std::fmt;
 /// The paper's base protocol puts a single transaction in every block
 /// (§2.3), which caps throughput at the consensus round rate. The batching
 /// layer lets the primary accumulate up to [`max_batch_size`] pending
-/// requests and order them as one Merkle-committed block per round.
+/// requests and order them as one Merkle-committed block per round; a
+/// partially filled batch is proposed once the replica's fixed batch
+/// timeout (`sharper_consensus::config::BATCH_TIMEOUT`) expires.
 ///
 /// `max_batch_size = 1` preserves the paper's per-round semantics exactly:
 /// every request is proposed the moment it arrives and no batch timer is
@@ -30,34 +32,21 @@ pub struct BatchConfig {
     /// Maximum number of transactions per block. A full queue is flushed
     /// immediately; `1` disables batching.
     pub max_batch_size: usize,
-    /// How long a partially filled batch may wait for more transactions
-    /// before the primary proposes it anyway. Irrelevant when
-    /// `max_batch_size` is `1` (batches are always "full").
-    pub batch_timeout: Duration,
 }
 
 impl Default for BatchConfig {
     fn default() -> Self {
-        Self {
-            max_batch_size: 1,
-            batch_timeout: Duration::from_millis(2),
-        }
+        Self { max_batch_size: 1 }
     }
 }
 
 impl BatchConfig {
-    /// A batching configuration with the given batch size and the default
-    /// timeout.
+    /// A batching configuration with the given batch size (`0` clamps to
+    /// `1`, the unbatched protocol).
     pub fn with_size(max_batch_size: usize) -> Self {
         Self {
             max_batch_size: max_batch_size.max(1),
-            ..Self::default()
         }
-    }
-
-    /// Whether batching is enabled (more than one transaction per block).
-    pub fn enabled(&self) -> bool {
-        self.max_batch_size > 1
     }
 }
 
@@ -120,7 +109,7 @@ impl fmt::Display for ThreadMode {
 /// forever, reproducing the seed exactly. With checkpointing enabled, blocks
 /// whose integrity has been re-verified (the incremental audit) are folded
 /// into a rolling digest chain and pruned, keeping only the most recent
-/// `retain_blocks` blocks resident. Like every other [`SimConfig`] knob this
+/// `retain_blocks` blocks resident. Like the simulator's thread mode this
 /// must never change simulated results: pruning is a pure function of chain
 /// length, every consensus-visible query answers identically before and after
 /// truncation, and `ledger_digest()` stays bit-identical to the unpruned run.
@@ -162,52 +151,6 @@ impl LedgerConfig {
     /// Whether truncation is enabled at all.
     pub fn is_truncating(&self) -> bool {
         self.checkpoint_interval > 0
-    }
-}
-
-/// Simulator execution configuration (independent of the modelled system:
-/// none of these knobs may change simulation results, only how fast the
-/// simulator produces them).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SimConfig {
-    /// Worker threading mode of the discrete-event engine.
-    pub threads: ThreadMode,
-    /// How replica ledger views retain committed history (bounded-memory
-    /// truncation behind the audit watermark, or the default retain-all).
-    pub ledger: LedgerConfig,
-    /// Whether the deterministic trace plane records events. Tracing only
-    /// observes — it charges no cost, sends nothing and draws no randomness —
-    /// so toggling it never changes results (see `sharper_common::obs`).
-    pub trace: bool,
-}
-
-impl SimConfig {
-    /// A configuration running one worker per cluster.
-    pub fn per_cluster() -> Self {
-        Self {
-            threads: ThreadMode::PerCluster,
-            ..Self::default()
-        }
-    }
-
-    /// A configuration with an explicit thread mode.
-    pub fn with_threads(threads: ThreadMode) -> Self {
-        Self {
-            threads,
-            ..Self::default()
-        }
-    }
-
-    /// Sets the ledger retention configuration (builder style).
-    pub fn with_ledger(mut self, ledger: LedgerConfig) -> Self {
-        self.ledger = ledger;
-        self
-    }
-
-    /// Enables or disables trace recording (builder style).
-    pub fn with_tracing(mut self, trace: bool) -> Self {
-        self.trace = trace;
-        self
     }
 }
 
@@ -698,11 +641,7 @@ mod tests {
     fn batch_config_defaults_to_paper_semantics() {
         let cfg = BatchConfig::default();
         assert_eq!(cfg.max_batch_size, 1);
-        assert!(!cfg.enabled());
-        assert!(cfg.batch_timeout > Duration::ZERO);
-        let batched = BatchConfig::with_size(16);
-        assert!(batched.enabled());
-        assert_eq!(batched.max_batch_size, 16);
+        assert_eq!(BatchConfig::with_size(16).max_batch_size, 16);
         // A nonsensical size of 0 clamps to the unbatched protocol.
         assert_eq!(BatchConfig::with_size(0).max_batch_size, 1);
     }

@@ -64,16 +64,6 @@ impl LatencyModel {
         }
     }
 
-    /// A LAN-only model (everything co-located), used by micro-benchmarks.
-    pub fn lan() -> Self {
-        Self {
-            client_to_node_us: 200,
-            intra_cluster_us: 100,
-            cross_cluster_us: 100,
-            jitter_us: 20,
-        }
-    }
-
     /// The base one-way latency for a link of the given kind.
     pub fn base(&self, kind: LinkKind) -> Duration {
         let us = match kind {

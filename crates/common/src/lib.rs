@@ -22,7 +22,7 @@ pub mod time;
 
 pub use config::{
     BatchConfig, ClusterConfig, ClusterGroup, ClusterLayout, FailureModel, ForcedMove,
-    InitiationPolicy, LedgerConfig, ReshardConfig, SimConfig, SystemConfig, ThreadMode,
+    InitiationPolicy, LedgerConfig, ReshardConfig, SystemConfig, ThreadMode,
 };
 pub use cost::{CostModel, LatencyModel, LinkKind};
 pub use error::{Error, Result};

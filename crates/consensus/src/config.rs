@@ -1,63 +1,52 @@
-//! Configuration shared by every replica of a deployment.
+//! Configuration shared by every replica of a deployment, and the protocol
+//! timers every replica runs with.
 
 use sharper_common::{BatchConfig, CostModel, Duration, LedgerConfig, ReshardConfig, SystemConfig};
 use sharper_crypto::KeyRegistry;
 use sharper_state::Partitioner;
-use std::sync::Arc;
 
-/// Protocol timer settings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimerConfig {
-    /// How long a node stays reserved for an accepted cross-shard proposal
-    /// before giving up on its commit (§3.2's "pre-determined time").
-    pub conflict_timeout: Duration,
-    /// How long the initiator primary waits for cross-shard quorums before
-    /// re-initiating the transaction.
-    pub retry_timeout: Duration,
-    /// Maximum number of re-initiations before the initiator gives up.
-    pub max_retries: u32,
-    /// How long a backup waits for the commit of an in-flight request before
-    /// suspecting the primary and starting a view change.
-    pub view_change_timeout: Duration,
-    /// How many times the initiator re-announces an `XAbort` after giving up
-    /// on a cross-shard batch (a single lost abort must not wedge a remote
-    /// primary's reservation).
-    pub xabort_retransmits: u32,
-    /// Interval between `XAbort` retransmissions.
-    pub xabort_retransmit_interval: Duration,
-    /// Number of conflict-timeout renewals a reserved *primary* waits before
-    /// probing the initiator cluster for the fate of its reservation
-    /// (crash model). The product with `conflict_timeout` should exceed the
-    /// initiator's give-up window (`max_retries × retry_timeout`).
-    pub reservation_probe_after: u32,
-}
+/// How long a node stays reserved for an accepted cross-shard proposal
+/// before giving up on its commit (§3.2's "pre-determined time").
+/// Comfortably above the worst-case cross-shard commit latency of the
+/// default latency model (tens of milliseconds), so that in fault-free runs
+/// reservations are normally released by commits (or by explicit aborts),
+/// and conflicts cost little when they do force a timeout.
+pub const CONFLICT_TIMEOUT: Duration = Duration::from_millis(400);
 
-impl Default for TimerConfig {
-    fn default() -> Self {
-        Self {
-            // Comfortably above the worst-case cross-shard commit latency of
-            // the default latency model (tens of milliseconds), so that in
-            // fault-free runs reservations are normally released by commits
-            // (or by explicit aborts), and conflicts cost little when they do
-            // force a timeout.
-            conflict_timeout: Duration::from_millis(400),
-            retry_timeout: Duration::from_millis(100),
-            max_retries: 6,
-            view_change_timeout: Duration::from_millis(1_500),
-            xabort_retransmits: 2,
-            xabort_retransmit_interval: Duration::from_millis(150),
-            // 2 renewals ≈ 800ms+, past the give-up window of
-            // max_retries × retry_timeout ≈ 700ms and the abort
-            // retransmissions, so probes only fire for genuinely lost
-            // commits/aborts.
-            reservation_probe_after: 2,
-        }
-    }
-}
+/// How long the initiator primary waits for cross-shard quorums before
+/// re-initiating the transaction.
+pub const RETRY_TIMEOUT: Duration = Duration::from_millis(100);
+
+/// Maximum number of re-initiations before the initiator gives up.
+pub const MAX_RETRIES: u32 = 6;
+
+/// How long a backup waits for the commit of an in-flight request before
+/// suspecting the primary and starting a view change.
+pub const VIEW_CHANGE_TIMEOUT: Duration = Duration::from_millis(1_500);
+
+/// How many times the initiator re-announces an `XAbort` after giving up on
+/// a cross-shard batch (a single lost abort must not wedge a remote
+/// primary's reservation).
+pub const XABORT_RETRANSMITS: u32 = 2;
+
+/// Interval between `XAbort` retransmissions.
+pub const XABORT_RETRANSMIT_INTERVAL: Duration = Duration::from_millis(150);
+
+/// Number of conflict-timeout renewals a reserved *primary* waits before
+/// probing the initiator cluster for the fate of its reservation (crash
+/// model). 2 renewals ≈ 800ms+, past the initiator's give-up window of
+/// `MAX_RETRIES × RETRY_TIMEOUT` ≈ 700ms and the abort retransmissions, so
+/// probes only fire for genuinely lost commits/aborts.
+pub const RESERVATION_PROBE_AFTER: u32 = 2;
+
+/// How long a primary's partially filled batch may wait for more
+/// transactions before it is proposed anyway. Never armed when
+/// `max_batch_size` is `1` (batches are always "full").
+pub const BATCH_TIMEOUT: Duration = Duration::from_millis(2);
 
 /// Everything a replica needs to know about the deployment it is part of.
 ///
-/// Wrapped in an [`Arc`] by the system layer so that the hundreds of replicas
+/// Wrapped in an `Arc` by the system layer so that the hundreds of replicas
 /// of a simulation share one copy.
 #[derive(Debug, Clone)]
 pub struct ReplicaConfig {
@@ -67,8 +56,6 @@ pub struct ReplicaConfig {
     pub partitioner: Partitioner,
     /// CPU cost model used for simulation accounting.
     pub cost: CostModel,
-    /// Protocol timers.
-    pub timers: TimerConfig,
     /// How primaries group transactions into blocks (`max_batch_size = 1`
     /// reproduces the paper's one-transaction blocks).
     pub batch: BatchConfig,
@@ -83,118 +70,45 @@ pub struct ReplicaConfig {
     pub registry: KeyRegistry,
 }
 
-impl ReplicaConfig {
-    /// Convenience constructor wrapping the config in an [`Arc`]; batching
-    /// stays at the paper-faithful default of one transaction per block.
-    pub fn shared(
-        system: SystemConfig,
-        partitioner: Partitioner,
-        cost: CostModel,
-        timers: TimerConfig,
-        registry: KeyRegistry,
-    ) -> Arc<Self> {
-        Self::shared_batched(
-            system,
-            partitioner,
-            cost,
-            timers,
-            BatchConfig::default(),
-            registry,
-        )
-    }
-
-    /// Like [`ReplicaConfig::shared`] with an explicit batching policy; the
-    /// ledger retention stays at the retain-all default.
-    pub fn shared_batched(
-        system: SystemConfig,
-        partitioner: Partitioner,
-        cost: CostModel,
-        timers: TimerConfig,
-        batch: BatchConfig,
-        registry: KeyRegistry,
-    ) -> Arc<Self> {
-        Self::shared_configured(
-            system,
-            partitioner,
-            cost,
-            timers,
-            batch,
-            LedgerConfig::default(),
-            registry,
-        )
-    }
-
-    /// The fully explicit constructor: batching policy and ledger retention
-    /// configuration. Resharding stays disabled; enable it with
-    /// [`ReplicaConfig::with_reshard`].
-    pub fn shared_configured(
-        system: SystemConfig,
-        partitioner: Partitioner,
-        cost: CostModel,
-        timers: TimerConfig,
-        batch: BatchConfig,
-        ledger: LedgerConfig,
-        registry: KeyRegistry,
-    ) -> Arc<Self> {
-        Arc::new(Self {
-            system,
-            partitioner,
-            cost,
-            timers,
-            batch,
-            ledger,
-            reshard: ReshardConfig::default(),
-            registry,
-        })
-    }
-
-    /// Returns a copy of this config with the given reshard policy installed
-    /// (the system layer applies it before sharing the config).
-    pub fn with_reshard(self: &Arc<Self>, reshard: ReshardConfig) -> Arc<Self> {
-        let mut cfg = Self::clone(self);
-        cfg.reshard = reshard;
-        Arc::new(cfg)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sharper_common::FailureModel;
     use sharper_crypto::keys::SignerId;
+    use std::sync::Arc;
 
     #[test]
     fn default_timers_are_ordered_sensibly() {
-        let t = TimerConfig::default();
-        assert!(t.retry_timeout <= t.conflict_timeout);
-        assert!(t.view_change_timeout > t.conflict_timeout);
-        assert!(t.max_retries > 0);
+        assert!(RETRY_TIMEOUT <= CONFLICT_TIMEOUT);
+        assert!(VIEW_CHANGE_TIMEOUT > CONFLICT_TIMEOUT);
+        const { assert!(MAX_RETRIES > 0) };
         // The reservation probe must not fire before the initiator has had a
         // chance to give up and retransmit its abort. Retry timers carry a
-        // deterministic jitter of at most retry_timeout/4 per attempt, so
-        // the worst-case give-up window is max_retries × 1.25 × retry_timeout
-        // (750ms with defaults, still under the 800ms probe).
-        let per_attempt = t.retry_timeout + Duration::from_micros(t.retry_timeout.as_micros() / 4);
-        let give_up = per_attempt.saturating_mul(u64::from(t.max_retries));
-        let probe = t
-            .conflict_timeout
-            .saturating_mul(u64::from(t.reservation_probe_after));
+        // deterministic jitter of at most RETRY_TIMEOUT/4 per attempt, so
+        // the worst-case give-up window is MAX_RETRIES × 1.25 × RETRY_TIMEOUT
+        // (750ms, still under the 800ms probe).
+        let per_attempt = RETRY_TIMEOUT + Duration::from_micros(RETRY_TIMEOUT.as_micros() / 4);
+        let give_up = per_attempt.saturating_mul(u64::from(MAX_RETRIES));
+        let probe = CONFLICT_TIMEOUT.saturating_mul(u64::from(RESERVATION_PROBE_AFTER));
         assert!(probe > give_up);
-        assert!(t.xabort_retransmits > 0);
-        assert!(t.xabort_retransmit_interval > sharper_common::Duration::ZERO);
+        const { assert!(XABORT_RETRANSMITS > 0) };
+        assert!(XABORT_RETRANSMIT_INTERVAL > Duration::ZERO);
+        assert!(BATCH_TIMEOUT > Duration::ZERO);
     }
 
     #[test]
     fn shared_config_is_cheap_to_clone() {
         let system = SystemConfig::uniform(FailureModel::Crash, 2, 1).unwrap();
         let (registry, _) = KeyRegistry::generate(1, (0..6).map(SignerId));
-        let cfg = ReplicaConfig::shared(
+        let cfg = Arc::new(ReplicaConfig {
             system,
-            Partitioner::range(2, 100),
-            CostModel::default(),
-            TimerConfig::default(),
+            partitioner: Partitioner::range(2, 100),
+            cost: CostModel::default(),
+            batch: BatchConfig::default(),
+            ledger: LedgerConfig::default(),
+            reshard: ReshardConfig::default(),
             registry,
-        );
+        });
         let clone = Arc::clone(&cfg);
         assert_eq!(Arc::strong_count(&cfg), 2);
         assert_eq!(clone.system.cluster_count(), 2);

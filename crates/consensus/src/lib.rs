@@ -11,7 +11,8 @@
 //!   (crash-only) and Algorithm 2 (Byzantine), in which the primary of the
 //!   initiator cluster collects `propose → accept → commit` quorums from
 //!   *every* involved cluster, with per-node reservations, conflict timers,
-//!   retries and the super-primary initiation policy (§3.2–§3.3);
+//!   retries and the super-primary initiation policy (§3.2–§3.3); every
+//!   protocol timer is a constant in [`config`], shared by all replicas;
 //! * **view change** — a PBFT-style primary replacement triggered by
 //!   timeouts (liveness, §3.2/§3.3);
 //! * **primary-side batching** — pending client requests are accumulated
@@ -35,7 +36,7 @@ pub mod messages;
 pub mod replica;
 pub mod sigcache;
 
-pub use config::{ReplicaConfig, TimerConfig};
+pub use config::ReplicaConfig;
 pub use mempool::{percentile_us, Mempool, MempoolMetrics};
 pub use messages::{timer_tags, Msg};
 pub use replica::Replica;

@@ -21,6 +21,9 @@
 //! removes most conflicts up front.
 
 use super::{AbortRetx, CrossRound, Replica, Reservation};
+use crate::config::{
+    CONFLICT_TIMEOUT, MAX_RETRIES, RETRY_TIMEOUT, XABORT_RETRANSMITS, XABORT_RETRANSMIT_INTERVAL,
+};
 use crate::messages::{proposal_sign_bytes, timer_tags, vote_sign_bytes, Msg};
 use sharper_common::{ClusterId, Duration, FailureModel, NodeId, TraceKind};
 use sharper_crypto::{hash_parts, Digest, Signature};
@@ -42,19 +45,19 @@ fn parents_digest(parents: &BTreeMap<ClusterId, Digest>) -> Digest {
 }
 
 impl Replica {
-    /// Retry delay for a cross-shard round: the configured `retry_timeout`
-    /// plus a deterministic jitter in `[0, retry_timeout/4)` derived from the
+    /// Retry delay for a cross-shard round: [`RETRY_TIMEOUT`] plus a
+    /// deterministic jitter in `[0, RETRY_TIMEOUT/4)` derived from the
     /// batch digest, the attempt number and this node's id. Without the
     /// jitter every initiator retries in lockstep at exact multiples of the
     /// retry timeout, so under heavy cross-shard conflict whole seeds either
     /// always win or always lose the race against the 400ms conflict timeout
     /// — fixed seeds showed ~5× throughput swings. The jitter is a pure
     /// function of simulation state, so runs stay bit-identical across
-    /// thread modes. Worst-case give-up window stays 1.25 × retry_timeout ×
-    /// max_retries, still below the reservation probe threshold (checked by
-    /// a config test).
+    /// thread modes. Worst-case give-up window stays 1.25 × `RETRY_TIMEOUT`
+    /// × `MAX_RETRIES`, still below the reservation probe threshold (checked
+    /// by a config test).
     fn retry_delay(&self, d: Digest, attempt: u32) -> Duration {
-        let base = self.cfg.timers.retry_timeout;
+        let base = RETRY_TIMEOUT;
         let span = (base.as_micros() / 4).max(1);
         let mut h = d
             .short_u64()
@@ -236,7 +239,7 @@ impl Replica {
                 return;
             }
             None => {
-                let timer = ctx.set_timer(self.cfg.timers.conflict_timeout, timer_tags::CONFLICT);
+                let timer = ctx.set_timer(CONFLICT_TIMEOUT, timer_tags::CONFLICT);
                 self.reservation = Some(Reservation {
                     d,
                     timer,
@@ -428,7 +431,7 @@ impl Replica {
             Some(res) if res.d == d => {}
             Some(_) => return,
             None => {
-                let timer = ctx.set_timer(self.cfg.timers.conflict_timeout, timer_tags::CONFLICT);
+                let timer = ctx.set_timer(CONFLICT_TIMEOUT, timer_tags::CONFLICT);
                 self.reservation = Some(Reservation {
                     d,
                     timer,
@@ -822,10 +825,7 @@ impl Replica {
         if retx.left == 0 {
             self.abort_retx.remove(&d);
         } else {
-            let next = ctx.set_timer(
-                self.cfg.timers.xabort_retransmit_interval,
-                timer_tags::XABORT_RETRANSMIT,
-            );
+            let next = ctx.set_timer(XABORT_RETRANSMIT_INTERVAL, timer_tags::XABORT_RETRANSMIT);
             self.abort_retx.get_mut(&d).expect("entry exists").timer = next;
         }
         ctx.trace(|| TraceKind::Retransmit {
@@ -945,7 +945,7 @@ impl Replica {
         }
         let give_up_allowed = self.model() == FailureModel::Crash;
         let round = self.cross.get_mut(&d).expect("round exists");
-        if round.attempt >= self.cfg.timers.max_retries && give_up_allowed {
+        if round.attempt >= MAX_RETRIES && give_up_allowed {
             // Give up: unblock the primary; the clients will eventually
             // retransmit and the transactions will be re-initiated. This is
             // safe in the crash model because the initiator is the only
@@ -977,16 +977,14 @@ impl Replica {
             // The abort is the only thing standing between a reserved remote
             // primary and a livelock; losing the single copy must not be
             // fatal, so it is retransmitted a few times.
-            if self.cfg.timers.xabort_retransmits > 0 {
-                let timer = ctx.set_timer(
-                    self.cfg.timers.xabort_retransmit_interval,
-                    timer_tags::XABORT_RETRANSMIT,
-                );
+            if XABORT_RETRANSMITS > 0 {
+                let timer =
+                    ctx.set_timer(XABORT_RETRANSMIT_INTERVAL, timer_tags::XABORT_RETRANSMIT);
                 self.abort_retx.insert(
                     d,
                     AbortRetx {
                         involved,
-                        left: self.cfg.timers.xabort_retransmits,
+                        left: XABORT_RETRANSMITS,
                         timer,
                     },
                 );

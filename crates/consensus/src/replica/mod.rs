@@ -24,7 +24,7 @@ mod reshard;
 mod tests;
 mod view_change;
 
-use crate::config::ReplicaConfig;
+use crate::config::{ReplicaConfig, BATCH_TIMEOUT, CONFLICT_TIMEOUT, RESERVATION_PROBE_AFTER};
 use crate::mempool::Mempool;
 use crate::messages::{timer_tags, AcceptedRound, Ballot, Msg, PreparedCert};
 use crate::sigcache::SigCache;
@@ -588,7 +588,7 @@ impl Replica {
 
     fn ensure_batch_timer(&mut self, ctx: &mut Context<Msg>) {
         if self.batch_timer.is_none() {
-            self.batch_timer = Some(ctx.set_timer(self.cfg.batch.batch_timeout, timer_tags::BATCH));
+            self.batch_timer = Some(ctx.set_timer(BATCH_TIMEOUT, timer_tags::BATCH));
         }
     }
 
@@ -1213,8 +1213,7 @@ impl Actor<Msg> for Replica {
                 if let Some(res) = self.reservation {
                     if res.timer == timer {
                         if self.is_primary() || self.model() == FailureModel::Crash {
-                            let timer = ctx
-                                .set_timer(self.cfg.timers.conflict_timeout, timer_tags::CONFLICT);
+                            let timer = ctx.set_timer(CONFLICT_TIMEOUT, timer_tags::CONFLICT);
                             let renewals = res.renewals.saturating_add(1);
                             self.reservation = Some(Reservation {
                                 d: res.d,
@@ -1231,7 +1230,7 @@ impl Actor<Msg> for Replica {
                             // round is dead — the prober cannot know which
                             // view the initiator cluster is in.
                             if self.model() == FailureModel::Crash
-                                && renewals >= self.cfg.timers.reservation_probe_after
+                                && renewals >= RESERVATION_PROBE_AFTER
                             {
                                 let initiator = self.cross.get(&res.d).map(|round| round.initiator);
                                 if let Some(initiator) = initiator {

@@ -7,7 +7,7 @@
 //! is covered by the integration tests in the workspace root.
 
 use super::*;
-use crate::config::{ReplicaConfig, TimerConfig};
+use crate::config::ReplicaConfig;
 use crate::messages::{vote_sign_bytes, Ballot, Msg, PreparedCert};
 use sharper_common::{
     AccountId, ClientId, ClusterId, CostModel, FailureModel, InitiationPolicy, NodeId, SimTime,
@@ -37,14 +37,15 @@ fn test_config_batched(
     let node_signers = system.node_ids().map(node_signer_id).collect::<Vec<_>>();
     let client_signers = (0..32).map(|c| client_signer_id(ClientId(c)));
     let (registry, _) = KeyRegistry::generate(7, node_signers.into_iter().chain(client_signers));
-    ReplicaConfig::shared_batched(
+    Arc::new(ReplicaConfig {
         system,
-        Partitioner::range(clusters as u32, ACCOUNTS_PER_SHARD),
-        CostModel::zero(),
-        TimerConfig::default(),
-        sharper_common::BatchConfig::with_size(max_batch),
+        partitioner: Partitioner::range(clusters as u32, ACCOUNTS_PER_SHARD),
+        cost: CostModel::zero(),
+        batch: sharper_common::BatchConfig::with_size(max_batch),
+        ledger: Default::default(),
+        reshard: Default::default(),
         registry,
-    )
+    })
 }
 
 fn client_sig(cfg: &ReplicaConfig, tx: &Transaction) -> Signature {

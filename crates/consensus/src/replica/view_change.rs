@@ -32,6 +32,7 @@
 //! frontier it has not seen); the next timeout rotates to another candidate.
 
 use super::{Replica, VcVote};
+use crate::config::VIEW_CHANGE_TIMEOUT;
 use crate::messages::{
     proposal_sign_bytes, timer_tags, vote_sign_bytes, AcceptedRound, Ballot, Msg, PreparedCert,
 };
@@ -49,8 +50,7 @@ impl Replica {
     /// Arms the view-change timer if work is in flight and no timer is armed.
     pub(super) fn ensure_view_change_timer(&mut self, ctx: &mut Context<Msg>) {
         if self.vc_timer.is_none() {
-            self.vc_timer =
-                Some(ctx.set_timer(self.cfg.timers.view_change_timeout, timer_tags::VIEW_CHANGE));
+            self.vc_timer = Some(ctx.set_timer(VIEW_CHANGE_TIMEOUT, timer_tags::VIEW_CHANGE));
         }
     }
 

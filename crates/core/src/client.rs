@@ -254,7 +254,7 @@ mod tests {
         AccountId, CostModel, Duration, FailureModel, NodeId, SimTime, SystemConfig,
     };
     use sharper_consensus::replica::node_signer_id;
-    use sharper_consensus::{timer_tags, TimerConfig};
+    use sharper_consensus::timer_tags;
     use sharper_crypto::KeyRegistry;
     use sharper_state::Partitioner;
 
@@ -265,13 +265,15 @@ mod tests {
             .map(node_signer_id)
             .chain((0..8).map(|c| client_signer_id(ClientId(c))));
         let (registry, _) = KeyRegistry::generate(3, signers);
-        ReplicaConfig::shared(
+        Arc::new(ReplicaConfig {
             system,
-            Partitioner::range(2, 100),
-            CostModel::default(),
-            TimerConfig::default(),
+            partitioner: Partitioner::range(2, 100),
+            cost: CostModel::default(),
+            batch: Default::default(),
+            ledger: Default::default(),
+            reshard: Default::default(),
             registry,
-        )
+        })
     }
 
     fn txs(n: u64) -> impl Iterator<Item = Transaction> + Send {

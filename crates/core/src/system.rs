@@ -12,11 +12,11 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use sharper_common::{
     AccountId, BatchConfig, ClientId, ClusterId, CostModel, FailureModel, InitiationPolicy,
-    LatencyModel, LedgerConfig, NodeId, ReshardConfig, SimConfig, SimTime, StreamingHistogram,
-    SystemConfig, ThreadMode, TraceEvent,
+    LatencyModel, LedgerConfig, NodeId, ReshardConfig, SimTime, StreamingHistogram, SystemConfig,
+    ThreadMode, TraceEvent,
 };
 use sharper_consensus::replica::{client_signer_id, node_signer_id, ReplicaStats};
-use sharper_consensus::{Msg, Replica, ReplicaConfig, TimerConfig};
+use sharper_consensus::{Msg, Replica, ReplicaConfig};
 use sharper_crypto::{hash_parts, Digest, KeyRegistry};
 use sharper_ledger::{audit_replica_views, AuditReport, LedgerView};
 use sharper_net::{FaultPlan, LatencySummary, Simulation, SimulationReport, StatsHandle, Topology};
@@ -42,8 +42,6 @@ pub struct SystemParams {
     pub cost: CostModel,
     /// Network latency model for the simulation.
     pub latency: LatencyModel,
-    /// Protocol timers.
-    pub timers: TimerConfig,
     /// Primary-side transaction batching (`max_batch_size = 1` reproduces
     /// the paper's one-transaction blocks).
     pub batch: BatchConfig,
@@ -51,7 +49,13 @@ pub struct SystemParams {
     pub faults: FaultPlan,
     /// Simulator execution strategy (sequential or conservative-parallel
     /// lanes). Never changes results, only wall-clock time.
-    pub sim: SimConfig,
+    pub threads: ThreadMode,
+    /// Whether the deterministic trace plane records events. Never changes
+    /// results.
+    pub trace: bool,
+    /// How replica ledger views retain committed history. Never changes
+    /// results, only retained memory.
+    pub ledger: LedgerConfig,
     /// Seed for all pseudo-randomness (network jitter, workload).
     pub seed: u64,
     /// Client behaviour.
@@ -64,7 +68,7 @@ pub struct SystemParams {
 
 impl SystemParams {
     /// Parameters matching the paper's deployments: `clusters` clusters of
-    /// the minimum size for fault budget `f`, default models and timers.
+    /// the minimum size for fault budget `f` and default models.
     pub fn new(failure_model: FailureModel, clusters: usize, f: usize) -> Self {
         Self {
             failure_model,
@@ -75,10 +79,11 @@ impl SystemParams {
             initiation_policy: InitiationPolicy::SuperPrimary,
             cost: CostModel::default(),
             latency: LatencyModel::default(),
-            timers: TimerConfig::default(),
             batch: BatchConfig::default(),
             faults: FaultPlan::none(),
-            sim: SimConfig::default(),
+            threads: ThreadMode::Sequential,
+            trace: false,
+            ledger: LedgerConfig::retain_all(),
             seed: 42,
             client: ClientParams::default(),
             warmup: SimTime::from_millis(500),
@@ -108,7 +113,7 @@ impl SystemParams {
     /// produce bit-identical results to sequential runs — the golden-seed
     /// suite enforces it — so this only trades wall-clock time.
     pub fn with_threads(mut self, threads: ThreadMode) -> Self {
-        self.sim.threads = threads;
+        self.threads = threads;
         self
     }
 
@@ -123,7 +128,7 @@ impl SystemParams {
     /// randomness — so toggling it never changes results; the golden-seed
     /// suite enforces it.
     pub fn with_tracing(mut self, trace: bool) -> Self {
-        self.sim.trace = trace;
+        self.trace = trace;
         self
     }
 
@@ -135,12 +140,12 @@ impl SystemParams {
         self
     }
 
-    /// Sets the ledger retention configuration (builder style). Like the
-    /// thread mode, this is a `SimConfig` knob: truncating configurations
-    /// produce bit-identical results to retain-all runs — the golden-seed
-    /// suite enforces it — so this only bounds retained memory.
+    /// Sets the replicas' ledger retention configuration (builder style).
+    /// Like the thread mode, truncating configurations produce bit-identical
+    /// results to retain-all runs — the golden-seed suite enforces it — so
+    /// this only bounds retained memory.
     pub fn with_ledger(mut self, ledger: LedgerConfig) -> Self {
-        self.sim.ledger = ledger;
+        self.ledger = ledger;
         self
     }
 
@@ -155,16 +160,15 @@ impl SystemParams {
             .chain((0..num_clients as u64).map(|c| client_signer_id(ClientId(c))))
             .collect::<Vec<_>>();
         let (registry, _) = KeyRegistry::generate(self.seed, signers);
-        ReplicaConfig::shared_configured(
+        Arc::new(ReplicaConfig {
             system,
-            Partitioner::range(self.clusters as u32, self.accounts_per_shard),
-            self.cost,
-            self.timers,
-            self.batch,
-            self.sim.ledger,
+            partitioner: Partitioner::range(self.clusters as u32, self.accounts_per_shard),
+            cost: self.cost,
+            batch: self.batch,
+            ledger: self.ledger,
+            reshard: self.reshard.clone(),
             registry,
-        )
-        .with_reshard(self.reshard.clone())
+        })
     }
 }
 
@@ -239,8 +243,8 @@ impl SharperSystem {
                 topology.add_client(ClientId(c as u64), ClusterId((c % params.clusters) as u32));
             }
             Simulation::new(topology, params.latency, params.faults.clone(), params.seed)
-                .with_threads(params.sim.threads)
-                .with_tracing(params.sim.trace)
+                .with_threads(params.threads)
+                .with_tracing(params.trace)
         };
 
         for node in cfg.system.node_ids() {

@@ -1,5 +1,5 @@
-//! Ledger truncation is a `SimConfig` knob: checkpointing + pruning behind
-//! the audit watermark must never change simulated results. These tests pin
+//! Ledger truncation (`SystemParams::with_ledger`): checkpointing + pruning
+//! behind the audit watermark must never change simulated results. These tests pin
 //! the property the golden-seed CI gate relies on — `retain=all` and every
 //! truncating configuration produce bit-identical digests and reports — and
 //! regression-test the view-change replay path on the historical fork seeds

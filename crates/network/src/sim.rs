@@ -610,18 +610,12 @@ impl<M: Clone + Send, A: Actor<M> + Send> Simulation<M, A> {
     /// Selects the execution strategy (builder style). Must be called before
     /// the simulation starts.
     pub fn with_threads(mut self, threads: ThreadMode) -> Self {
-        self.set_threads(threads);
-        self
-    }
-
-    /// Selects the execution strategy. Must be called before the simulation
-    /// starts.
-    pub fn set_threads(&mut self, threads: ThreadMode) {
         assert!(
             !self.started,
             "thread mode must be set before the run starts"
         );
         self.threads = threads;
+        self
     }
 
     /// The configured execution strategy.
@@ -632,15 +626,9 @@ impl<M: Clone + Send, A: Actor<M> + Send> Simulation<M, A> {
     /// Enables trace recording (builder style). Must be set before the run
     /// starts. Tracing only observes — it cannot change results.
     pub fn with_tracing(mut self, tracing: bool) -> Self {
-        self.set_tracing(tracing);
-        self
-    }
-
-    /// Enables or disables trace recording. Must be set before the run
-    /// starts.
-    pub fn set_tracing(&mut self, tracing: bool) {
         assert!(!self.started, "tracing must be set before the run starts");
         self.tracing = tracing;
+        self
     }
 
     /// Whether trace recording is enabled.
@@ -685,17 +673,6 @@ impl<M: Clone + Send, A: Actor<M> + Send> Simulation<M, A> {
             .find_map(|lane| lane.actors.get(&id).map(|slot| &slot.actor))
     }
 
-    /// Mutable access to an actor (used by tests to inject state).
-    pub fn actor_mut(&mut self, id: impl Into<ActorId>) -> Option<&mut A> {
-        let id = id.into();
-        if let Some(actor) = self.pending.get_mut(&id) {
-            return Some(actor);
-        }
-        self.lanes
-            .iter_mut()
-            .find_map(|lane| lane.actors.get_mut(&id).map(|slot| &mut slot.actor))
-    }
-
     /// Iterates over all actors in ascending id order.
     pub fn actors(&self) -> impl Iterator<Item = &A> {
         let mut all: Vec<(ActorId, &A)> = self
@@ -710,18 +687,6 @@ impl<M: Clone + Send, A: Actor<M> + Send> Simulation<M, A> {
             .collect();
         all.sort_by_key(|(id, _)| *id);
         all.into_iter().map(|(_, actor)| actor)
-    }
-
-    /// Consumes the simulation and returns its actors in ascending id order
-    /// (for final auditing).
-    pub fn into_actors(self) -> Vec<A> {
-        let mut all: BTreeMap<ActorId, A> = self.pending.into_iter().collect();
-        for lane in self.lanes {
-            for (id, slot) in lane.actors {
-                all.insert(id, slot.actor);
-            }
-        }
-        all.into_values().collect()
     }
 
     /// The report accumulated so far.
